@@ -17,9 +17,9 @@ from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
 
-from .corpus import Corpus, ReviewRecord, read_record_file
+from .corpus import ReviewRecord, load_corpus, read_record_file
 from .embedding import EmbeddingTable, load_embedding_table
-from .errors import ConfigurationError, EmptyCorpusError, RevRecError
+from .errors import ConfigurationError, RevRecError
 from .evaluation import EvalConfig, Sampling, run_eval
 from .recommender import (
     REVFINDER,
@@ -34,53 +34,12 @@ ERROR_PREFIX = "revrec: error:"
 WARNING_PREFIX = "revrec: warning:"
 
 
-def _warn(message: str) -> None:
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"{WARNING_PREFIX} {message}", file=sys.stderr)
 
 
-def _read_records(path: str):
-    """Read a record file, printing collected warnings as CLI warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records, errors = read_record_file(path)
-    for item in caught:
-        _warn(str(item.message))
-    return records, errors
-
-
-def _pick_project(records, requested: str | None) -> str:
-    projects = sorted({r.project for r in records})
-    if requested is not None:
-        if requested not in projects:
-            raise EmptyCorpusError(f"no records for project {requested!r}")
-        return requested
-    if len(projects) == 1:
-        return projects[0]
-    raise ConfigurationError(
-        f"corpus file contains projects {', '.join(projects)}; pick one with --project"
-    )
-
-
-def _load_corpus(args) -> Corpus:
-    records, errors = _read_records(args.corpus)
-    if errors:
-        raise errors[0]
-    if not records:
-        raise EmptyCorpusError(f"{args.corpus}: no records")
-    project = _pick_project(records, args.project)
-    selected = sorted((r for r in records if r.project == project), key=ReviewRecord.sort_key)
-    return Corpus(project=project, records=tuple(selected))
-
-
 def _load_table(args) -> EmbeddingTable | None:
-    if args.embeddings is None:
-        return None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = load_embedding_table(args.embeddings)
-    for item in caught:
-        _warn(str(item.message))
-    return table
+    return load_embedding_table(args.embeddings) if args.embeddings is not None else None
 
 
 def _load_stopwords(args) -> frozenset[str] | None:
@@ -94,7 +53,7 @@ def _span(records) -> str:
 
 
 def cmd_validate(args) -> int:
-    records, errors = _read_records(args.corpus)
+    records, errors = read_record_file(args.corpus)
     if errors:
         for err in errors:
             print(f"{ERROR_PREFIX} {err}", file=sys.stderr)
@@ -118,13 +77,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    corpus = _load_corpus(args)
+    corpus = load_corpus(args.corpus, args.project)
     selection = parse_method_selection(args.methods)
     table = _load_table(args)
     stopwords = _load_stopwords(args)
 
     if not args.file_path.strip():
         raise ConfigurationError("--file-path must be non-empty")
+    if args.top_n < 1:
+        raise ConfigurationError(f"--top-n must be at least 1, got {args.top_n}")
     query = ReviewRecord(
         change_id="query",
         patch_id="query",
@@ -137,7 +98,7 @@ def cmd_recommend(args) -> int:
     )
     if selection != REVFINDER and (MethodId.RC_CS in selection or MethodId.RC_JC in selection):
         if not preprocess_comment(args.comment, stopwords):
-            _warn("query comment has no usable tokens; comment-based scores are all zero")
+            warnings.warn("query comment has no usable tokens; comment-based scores are all zero")
 
     if selection == REVFINDER:
         ranking = revfinder_recommend(query, corpus.records)
@@ -179,7 +140,7 @@ def _write_report(report, out: str) -> None:
 
 
 def _run_eval_command(args, methods: tuple) -> int:
-    corpus = _load_corpus(args)
+    corpus = load_corpus(args.corpus, args.project)
     table = _load_table(args)
     stopwords = _load_stopwords(args)
     config = EvalConfig(
@@ -235,7 +196,9 @@ def _add_eval_options(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, help="RNG seed; fixes all randomness")
     sub.add_argument("--k", type=_parse_k_list, default=[1, 3, 5, 10], help="comma-separated ks")
     sub.add_argument("--out", default=None, help="report path; writes <base>.csv and <base>.txt")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers (same output)")
+    sub.add_argument(
+        "--jobs", type=int, default=1, help="accepted; evaluation runs serially (no effect)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,14 +252,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; those are config
         # errors here, and I/O failures keep 2.
         return 0 if exc.code == 0 else 1
-    try:
-        return args.func(args)
-    except RevRecError as err:
-        print(f"{ERROR_PREFIX} {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"{ERROR_PREFIX} {err}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except RevRecError as err:
+            print(f"{ERROR_PREFIX} {err}", file=sys.stderr)
+            return 1
+        except OSError as err:
+            print(f"{ERROR_PREFIX} {err}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

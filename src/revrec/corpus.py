@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import EmptyCorpusError, ValidationError
+from .errors import ConfigurationError, EmptyCorpusError, ValidationError
+from .textprep import tokenize_path
 
 RECORD_FIELDS = (
     "change_id",
@@ -61,8 +62,9 @@ class Corpus:
 
 def validate_record(record: ReviewRecord) -> None:
     """Raise ValidationError (naming the field) if a record invariant fails."""
-    if not record.file_path:
-        raise ValidationError("file_path must be non-empty", field="file_path")
+    # FP_JC scores path tokens, so a path without any (``__``, ``.``) is
+    # rejected at load time rather than midway through an evaluation.
+    tokenize_path(record.file_path)
     if any(not seg.strip() for seg in record.file_path.split("/")):
         raise ValidationError(
             f"file_path {record.file_path!r} has a whitespace-only segment", field="file_path"
@@ -135,12 +137,14 @@ def read_record_file(path: str | Path) -> tuple[list[ReviewRecord], list[Validat
     """Read every line, collecting parsed records and per-line errors.
 
     Missing files raise the underlying OSError. Blank lines are ignored
-    with a warning.
+    with a warning. Lines end at line feeds and carriage returns only, so
+    U+2028, U+2029 and U+0085 may appear raw inside a record, as
+    ``save_corpus`` writes them.
     """
     records: list[ReviewRecord] = []
     errors: list[ValidationError] = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 warnings.warn(f"line {line_no}: blank line ignored", stacklevel=2)
                 continue
@@ -151,17 +155,28 @@ def read_record_file(path: str | Path) -> tuple[list[ReviewRecord], list[Validat
     return records, errors
 
 
-def load_corpus(path: str | Path, project: str) -> Corpus:
-    """Load the given project's records from a record file, sorted
+def load_corpus(path: str | Path, project: str | None = None) -> Corpus:
+    """Load one project's records from a record file, sorted
     chronologically (ties broken by change_id, patch_id, reviewer_id).
 
-    Records for other projects in the same file are skipped. Raises the
-    first per-line ValidationError, or EmptyCorpusError when no record
-    of the project survives.
+    Records for other projects in the same file are skipped. With no
+    ``project``, a file holding one project selects it, and a file holding
+    several raises ConfigurationError naming them. Raises the first
+    per-line ValidationError, or EmptyCorpusError when no record of the
+    project survives.
     """
     records, errors = read_record_file(path)
     if errors:
         raise errors[0]
+    if project is None:
+        projects = sorted({r.project for r in records})
+        if not projects:
+            raise EmptyCorpusError(f"no records in {path}")
+        if len(projects) > 1:
+            raise ConfigurationError(
+                f"{path} contains projects {', '.join(projects)}; select one with --project"
+            )
+        project = projects[0]
     selected = sorted((r for r in records if r.project == project), key=ReviewRecord.sort_key)
     if not selected:
         raise EmptyCorpusError(f"no records for project {project!r} in {path}")

@@ -5,15 +5,15 @@ Fixed sampling holds out a seeded-random test fraction and uses everything
 else as history. Incremental sampling walks the corpus chronologically in
 near-equal chunks: at each step the tail of the current chunk is validated
 against all earlier records, and per-step metrics are averaged with equal
-weights. Reports are deterministic byte-for-byte for a given corpus and
-config, independent of the jobs count.
+weights; fixed sampling is the one-step case of the same loop. Reports
+are deterministic byte-for-byte for a given corpus and config. Evaluation
+runs serially; the ``jobs`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -151,27 +151,35 @@ def _truth_for(query: ReviewRecord, partition: Sequence[ReviewRecord]) -> frozen
     return frozenset(r.reviewer_id for r in partition if r.change_id == query.change_id)
 
 
-def _build_cases(
-    selection: MethodSelection,
-    items: Sequence[tuple[ReviewRecord, Sequence[ReviewRecord], frozenset[str]]],
+def _score_steps(
+    config: EvalConfig,
+    steps: Sequence[tuple[Sequence[ReviewRecord], Sequence[ReviewRecord]]],
     table: EmbeddingTable | None,
     stopwords: frozenset[str] | None,
-    jobs: int,
-) -> list[EvalCase]:
-    def one(item: tuple[ReviewRecord, Sequence[ReviewRecord], frozenset[str]]) -> EvalCase:
-        query, history, truth = item
-        if selection == REVFINDER:
-            ranking = revfinder_recommend(query, history)
-        else:
-            ranking = recommend(query, history, selection, table, stopwords)
-        return EvalCase(query=query, truth=truth, recommendation=ranking)
-
-    if jobs > 1:
-        # map() preserves input order, so the reduction below is
-        # independent of scheduling.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+) -> tuple[ReportRow, ...]:
+    """Rank every query of every (history, validation) step with every
+    configured selection, and average each metric over the steps with
+    equal weights."""
+    truths = [[_truth_for(query, validation) for query in validation] for _, validation in steps]
+    rows = []
+    for selection in config.methods:
+        step_cases = []
+        for (history, validation), step_truths in zip(steps, truths):
+            cases = []
+            for query, truth in zip(validation, step_truths):
+                if selection == REVFINDER:
+                    ranking = revfinder_recommend(query, history)
+                else:
+                    ranking = recommend(query, history, selection, table, stopwords)
+                cases.append(EvalCase(query=query, truth=truth, recommendation=ranking))
+            step_cases.append(cases)
+        for k in config.k_values:
+            acc = math.fsum(topk_accuracy(cases, k) for cases in step_cases) / len(steps)
+            mrr = math.fsum(mrr_at_k(cases, k) for cases in step_cases) / len(steps)
+            rows.append(
+                ReportRow(method=selection_label(selection), k=k, topk_accuracy=acc, mrr=mrr)
+            )
+    return tuple(rows)
 
 
 def _check_table_available(config: EvalConfig, table: EmbeddingTable | None) -> None:
@@ -219,20 +227,7 @@ def run_fixed_eval(
     test_set = set(test_idx)
     test = [corpus.records[i] for i in test_idx]
     history = [r for i, r in enumerate(corpus.records) if i not in test_set]
-    items = [(query, history, _truth_for(query, test)) for query in test]
-
-    rows = []
-    for selection in config.methods:
-        cases = _build_cases(selection, items, table, stopwords, jobs)
-        for k in config.k_values:
-            rows.append(
-                ReportRow(
-                    method=selection_label(selection),
-                    k=k,
-                    topk_accuracy=topk_accuracy(cases, k),
-                    mrr=mrr_at_k(cases, k),
-                )
-            )
+    rows = _score_steps(config, [(history, test)], table, stopwords)
 
     metadata = {
         "project": corpus.project,
@@ -244,7 +239,7 @@ def run_fixed_eval(
         "records": str(n),
         "partition": f"history:{len(history)},test:{len(test)}",
     }
-    return EvalReport(rows=tuple(rows), metadata=metadata)
+    return EvalReport(rows=rows, metadata=metadata)
 
 
 def incremental_chunks(n: int, steps: int) -> list[tuple[int, int]]:
@@ -286,8 +281,7 @@ def run_incremental_eval(
         if later.timestamp < earlier.timestamp:
             raise EvaluationError("corpus records are not in chronological order")
 
-    step_items = []
-    step_sizes = []
+    steps = []
     for start, end in incremental_chunks(n, config.steps):
         val_size = math.ceil(config.test_fraction * (end - start))
         val_start = end - val_size
@@ -296,24 +290,8 @@ def run_incremental_eval(
                 f"step covering records [{start}, {end}) leaves no history "
                 f"before its validation set"
             )
-        validation = records[val_start:end]
-        history = records[:val_start]
-        step_items.append(
-            [(query, history, _truth_for(query, validation)) for query in validation]
-        )
-        step_sizes.append(f"{len(history)}/{len(validation)}")
-
-    rows = []
-    for selection in config.methods:
-        step_cases = [
-            _build_cases(selection, items, table, stopwords, jobs) for items in step_items
-        ]
-        for k in config.k_values:
-            acc = math.fsum(topk_accuracy(cases, k) for cases in step_cases) / config.steps
-            mrr = math.fsum(mrr_at_k(cases, k) for cases in step_cases) / config.steps
-            rows.append(
-                ReportRow(method=selection_label(selection), k=k, topk_accuracy=acc, mrr=mrr)
-            )
+        steps.append((records[:val_start], records[val_start:end]))
+    rows = _score_steps(config, steps, table, stopwords)
 
     metadata = {
         "project": corpus.project,
@@ -324,9 +302,12 @@ def run_incremental_eval(
         "k_values": ",".join(str(k) for k in config.k_values),
         "methods": ";".join(selection_label(s) for s in config.methods),
         "records": str(n),
-        "partition": ";".join(f"step{i + 1}:{s}" for i, s in enumerate(step_sizes)),
+        "partition": ";".join(
+            f"step{i + 1}:{len(history)}/{len(validation)}"
+            for i, (history, validation) in enumerate(steps)
+        ),
     }
-    return EvalReport(rows=tuple(rows), metadata=metadata)
+    return EvalReport(rows=rows, metadata=metadata)
 
 
 def run_eval(
@@ -336,5 +317,10 @@ def run_eval(
     stopwords: frozenset[str] | None = None,
     jobs: int = 1,
 ) -> EvalReport:
+    """Evaluate under the sampling protocol that ``config`` names.
+
+    Evaluation runs serially. ``jobs`` is accepted, here and by both
+    runners, and affects neither the output nor the execution.
+    """
     runner = run_fixed_eval if config.sampling is Sampling.FIXED else run_incremental_eval
     return runner(corpus, config, table, stopwords, jobs)

@@ -93,6 +93,16 @@ class TestValidate:
         assert "project=qt records=1" in out
         assert "total records=2 projects=2" in out
 
+    def test_path_without_tokens_cites_line(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            json.dumps(GOOD) + "\n" + json.dumps({**GOOD, "file_path": "__"}) + "\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["validate", "--corpus", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "file_path" in err and "no tokens" in err
+
     def test_unknown_key_warns_but_passes(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({**GOOD, "vote": 2}) + "\n", encoding="utf-8")
@@ -122,6 +132,18 @@ class TestRecommend:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2  # only two reviewers exist
         assert lines[0].split("\t")[1] == "bob"
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_is_config_error(self, planted_file, capsys, top_n):
+        code = cli.main([
+            "recommend", "--corpus", planted_file,
+            "--file-path", "db/store/rowsaa.py", "--comment", "schema",
+            "--top-n", top_n,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top-n" in captured.err
 
     def test_empty_comment_with_comment_method(self, planted_file, capsys):
         code = cli.main([

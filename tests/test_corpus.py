@@ -18,7 +18,7 @@ from revrec.corpus import (
     read_record_file,
     save_corpus,
 )
-from revrec.errors import EmptyCorpusError, ValidationError
+from revrec.errors import ConfigurationError, EmptyCorpusError, ValidationError
 
 GOOD = {
     "change_id": "I1", "patch_id": "3", "file_path": "nova/db/api.py",
@@ -84,7 +84,8 @@ class TestParseRecordLine:
     @pytest.mark.parametrize("field,value", [
         ("line", "12"), ("line", True), ("line", -1),
         ("change_id", 5), ("comment", "   "), ("file_path", ""),
-        ("file_path", "a// b"), ("reviewer_id", ""),
+        ("file_path", "a// b"), ("file_path", "__"), ("file_path", "."),
+        ("file_path", "-"), ("reviewer_id", ""),
     ])
     def test_field_violations(self, field, value):
         with pytest.raises(ValidationError) as exc:
@@ -134,6 +135,24 @@ class TestLoadCorpus:
             load_corpus(path, "nova")
         assert exc.value.line_no == 2
 
+    def test_single_project_selected_without_name(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        _write_lines(path, [GOOD, {**GOOD, "change_id": "I2"}])
+        corpus = load_corpus(path)
+        assert corpus.project == "nova" and len(corpus) == 2
+
+    def test_several_projects_need_a_name(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        _write_lines(path, [GOOD, {**GOOD, "project": "qt", "change_id": "I9"}])
+        with pytest.raises(ConfigurationError, match="nova, qt"):
+            load_corpus(path)
+
+    def test_empty_file_without_name(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(EmptyCorpusError):
+            load_corpus(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "absent.jsonl", "nova")
@@ -167,6 +186,19 @@ class TestRoundTrip:
         save_corpus(corpus, path)
         again = load_corpus(path, "rt")
         assert again.records == corpus.records
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_survive(self, tmp_path, sep):
+        records = [
+            make_record(change_id="c0", comment=f"first{sep}second", minute=0),
+            make_record(change_id="c1", file_path=f"src/a{sep}b.py", minute=1),
+            make_record(change_id="c2", comment=f"{sep}lead and trail{sep}", minute=2),
+        ]
+        corpus = Corpus(project="test", records=tuple(records))
+        path = tmp_path / "out.jsonl"
+        save_corpus(corpus, path)
+        assert sep in path.read_text(encoding="utf-8")  # written raw, not escaped
+        assert load_corpus(path, "test").records == corpus.records
 
     def test_multiset_preserved(self, tmp_path):
         records = [make_record(change_id=f"c{i}", reviewer_id=f"r{i % 3}", minute=i)
