@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,25 +44,30 @@ class CommentVector:
 
 
 def load_embedding_table(path: str | Path) -> EmbeddingTable:
+    """Stream a table file; error line numbers are the file's own lines."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
+        return _read_table(path, fh)
+
+
+def _read_table(path: str | Path, lines: Iterator[str]) -> EmbeddingTable:
+    first = next(lines, "").rstrip("\n")
+    if not first.strip():
         raise EmbeddingFormatError(f"{path}: empty vector file", line_no=1)
 
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 2:
         raise EmbeddingFormatError(
-            f"{path}: header must be '<count> <dimension>', got {lines[0]!r}", line_no=1
+            f"{path}: header must be '<count> <dimension>', got {first!r}", line_no=1
         )
     try:
         count, dimension = int(header[0]), int(header[1])
     except ValueError:
-        raise EmbeddingFormatError(f"{path}: non-integer header {lines[0]!r}", line_no=1) from None
+        raise EmbeddingFormatError(f"{path}: non-integer header {first!r}", line_no=1) from None
     if dimension <= 0:
         raise EmbeddingFormatError(f"{path}: dimension must be positive, got {dimension}", line_no=1)
 
     entries: dict[str, np.ndarray] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split()
@@ -83,20 +88,24 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
                 f"{path}: line {line_no}: non-finite component", line_no=line_no
             )
         if word in entries:
-            warnings.warn(f"{path}: line {line_no}: duplicate word {word!r} ignored", stacklevel=2)
+            warnings.warn(f"{path}: line {line_no}: duplicate word {word!r} ignored", stacklevel=3)
             continue
         entries[word] = vector
 
     if not entries:
         raise EmbeddingFormatError(f"{path}: no vector rows", line_no=1)
     if len(entries) != count:
-        warnings.warn(f"{path}: header count {count} != {len(entries)} parsed rows", stacklevel=2)
+        warnings.warn(f"{path}: header count {count} != {len(entries)} parsed rows", stacklevel=3)
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write the table in the text vector format (floats via repr, so a
-    save/load round trip reproduces the table exactly)."""
+    save/load round trip reproduces the table exactly). Words that are
+    empty or hold whitespace would not load back, so they raise first."""
+    for word in table.entries:
+        if word.split() != [word]:
+            raise EmbeddingFormatError(f"word {word!r} is empty or holds whitespace; cannot save")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table.entries)} {table.dimension}\n")
         for word, vector in table.entries.items():

@@ -5,16 +5,18 @@ Fixed sampling holds out a seeded-random test fraction and uses everything
 else as history. Incremental sampling walks the corpus chronologically in
 near-equal chunks: at each step the tail of the current chunk is validated
 against all earlier records, and per-step metrics are averaged with equal
-weights; fixed sampling is the one-step case of the same loop. Reports
-are deterministic byte-for-byte for a given corpus and config. Evaluation
-runs serially; the ``jobs`` argument is accepted and has no effect.
+weights; fixed sampling is the one-step case of the same loop. Each query
+is scored once per needed method, and every selection is ranked from
+those normalized columns. Reports are deterministic byte-for-byte for a
+given corpus and config. Evaluation runs serially; the ``jobs`` argument
+is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -26,6 +28,7 @@ from .recommender import (
     MethodId,
     MethodSelection,
     RecommendationList,
+    rank_selection,
     recommend,
     revfinder_recommend,
     selection_label,
@@ -147,10 +150,6 @@ def mrr_at_k(cases: Sequence[EvalCase], k: int) -> float:
     return total / len(cases)
 
 
-def _truth_for(query: ReviewRecord, partition: Sequence[ReviewRecord]) -> frozenset[str]:
-    return frozenset(r.reviewer_id for r in partition if r.change_id == query.change_id)
-
-
 def _score_steps(
     config: EvalConfig,
     steps: Sequence[tuple[Sequence[ReviewRecord], Sequence[ReviewRecord]]],
@@ -159,20 +158,23 @@ def _score_steps(
 ) -> tuple[ReportRow, ...]:
     """Rank every query of every (history, validation) step with every
     configured selection, and average each metric over the steps with
-    equal weights."""
-    truths = [[_truth_for(query, validation) for query in validation] for _, validation in steps]
+    equal weights. Each query is scored once: one ``recommend`` call with
+    the union of the similarity selections, and one ``revfinder_recommend``
+    call if the baseline is configured."""
+    union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
+    # cases[position][step]: a selection configured twice gets two groups.
+    cases = [[[] for _ in steps] for _ in config.methods]
+    for step, (history, validation) in enumerate(steps):
+        for query in validation:
+            truth = frozenset(r.reviewer_id for r in validation if r.change_id == query.change_id)
+            scored = recommend(query, history, union, table, stopwords) if union else None
+            baseline = revfinder_recommend(query, history) if REVFINDER in config.methods else None
+            for position, selection in enumerate(config.methods):
+                ranking = baseline if selection == REVFINDER else rank_selection(
+                    history, scored.columns, selection, scored.query_ref)
+                cases[position][step].append(EvalCase(query, truth, ranking))
     rows = []
-    for selection in config.methods:
-        step_cases = []
-        for (history, validation), step_truths in zip(steps, truths):
-            cases = []
-            for query, truth in zip(validation, step_truths):
-                if selection == REVFINDER:
-                    ranking = revfinder_recommend(query, history)
-                else:
-                    ranking = recommend(query, history, selection, table, stopwords)
-                cases.append(EvalCase(query=query, truth=truth, recommendation=ranking))
-            step_cases.append(cases)
+    for selection, step_cases in zip(config.methods, cases):
         for k in config.k_values:
             acc = math.fsum(topk_accuracy(cases, k) for cases in step_cases) / len(steps)
             mrr = math.fsum(mrr_at_k(cases, k) for cases in step_cases) / len(steps)
@@ -204,42 +206,21 @@ def _min_fixed_corpus_size(test_fraction: float) -> int:
     return n
 
 
-def run_fixed_eval(
-    corpus: Corpus,
-    config: EvalConfig,
-    table: EmbeddingTable | None = None,
-    stopwords: frozenset[str] | None = None,
-    jobs: int = 1,
-) -> EvalReport:
-    """Hold out a seeded-random test fraction, recommend for each held-out
-    record against all remaining records, and score every configured
-    method selection at every k."""
-    _check_table_available(config, table)
-    n = len(corpus.records)
+def _fixed_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple[list, str]:
+    """Hold out a seeded-random test fraction as the one validation set,
+    with every remaining record as its history."""
+    n = len(records)
     minimum = _min_fixed_corpus_size(config.test_fraction)
-    if n < minimum or n - math.ceil(config.test_fraction * n) < 1:
+    if n < minimum:
         raise EvaluationError(
             f"corpus has {n} records; fixed sampling at fraction "
             f"{config.test_fraction} needs at least {minimum}"
         )
-
     test_idx = fixed_test_indices(n, config.test_fraction, config.rng_seed)
     test_set = set(test_idx)
-    test = [corpus.records[i] for i in test_idx]
-    history = [r for i, r in enumerate(corpus.records) if i not in test_set]
-    rows = _score_steps(config, [(history, test)], table, stopwords)
-
-    metadata = {
-        "project": corpus.project,
-        "sampling": Sampling.FIXED.value,
-        "seed": str(config.rng_seed),
-        "test_fraction": repr(config.test_fraction),
-        "k_values": ",".join(str(k) for k in config.k_values),
-        "methods": ";".join(selection_label(s) for s in config.methods),
-        "records": str(n),
-        "partition": f"history:{len(history)},test:{len(test)}",
-    }
-    return EvalReport(rows=rows, metadata=metadata)
+    test = [records[i] for i in test_idx]
+    history = [r for i, r in enumerate(records) if i not in test_set]
+    return [(history, test)], f"history:{len(history)},test:{len(test)}"
 
 
 def incremental_chunks(n: int, steps: int) -> list[tuple[int, int]]:
@@ -255,22 +236,11 @@ def incremental_chunks(n: int, steps: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def run_incremental_eval(
-    corpus: Corpus,
-    config: EvalConfig,
-    table: EmbeddingTable | None = None,
-    stopwords: frozenset[str] | None = None,
-    jobs: int = 1,
-) -> EvalReport:
-    """Chronological growing-window evaluation.
-
-    The corpus splits into `steps` contiguous chunks; at step i the final
-    ceil(test_fraction * chunk_size) records of chunk i are validated
-    against every record that precedes them, and metrics are averaged
-    over steps with equal weights.
-    """
-    _check_table_available(config, table)
-    records = corpus.records
+def _incremental_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple[list, str]:
+    """Chronological growing window: the corpus splits into ``steps``
+    contiguous chunks, and at step i the final ceil(test_fraction *
+    chunk_size) records of chunk i are validated against every record
+    that precedes them."""
     n = len(records)
     if n < 2 * config.steps:
         raise EvaluationError(
@@ -291,23 +261,11 @@ def run_incremental_eval(
                 f"before its validation set"
             )
         steps.append((records[:val_start], records[val_start:end]))
-    rows = _score_steps(config, steps, table, stopwords)
-
-    metadata = {
-        "project": corpus.project,
-        "sampling": Sampling.INCREMENTAL.value,
-        "seed": str(config.rng_seed),
-        "test_fraction": repr(config.test_fraction),
-        "steps": str(config.steps),
-        "k_values": ",".join(str(k) for k in config.k_values),
-        "methods": ";".join(selection_label(s) for s in config.methods),
-        "records": str(n),
-        "partition": ";".join(
-            f"step{i + 1}:{len(history)}/{len(validation)}"
-            for i, (history, validation) in enumerate(steps)
-        ),
-    }
-    return EvalReport(rows=rows, metadata=metadata)
+    partition = ";".join(
+        f"step{i + 1}:{len(history)}/{len(validation)}"
+        for i, (history, validation) in enumerate(steps)
+    )
+    return steps, partition
 
 
 def run_eval(
@@ -317,10 +275,36 @@ def run_eval(
     stopwords: frozenset[str] | None = None,
     jobs: int = 1,
 ) -> EvalReport:
-    """Evaluate under the sampling protocol that ``config`` names.
+    """Evaluate every configured method selection at every k under the
+    sampling protocol that ``config`` names.
 
     Evaluation runs serially. ``jobs`` is accepted, here and by both
     runners, and affects neither the output nor the execution.
     """
-    runner = run_fixed_eval if config.sampling is Sampling.FIXED else run_incremental_eval
-    return runner(corpus, config, table, stopwords, jobs)
+    _check_table_available(config, table)
+    incremental = config.sampling is Sampling.INCREMENTAL
+    split = _incremental_split if incremental else _fixed_split
+    steps, partition = split(corpus.records, config)
+    rows = _score_steps(config, steps, table, stopwords)
+    metadata = {
+        "project": corpus.project,
+        "sampling": config.sampling.value,
+        "seed": str(config.rng_seed),
+        "test_fraction": repr(config.test_fraction),
+        **({"steps": str(config.steps)} if incremental else {}),
+        "k_values": ",".join(str(k) for k in config.k_values),
+        "methods": ";".join(selection_label(s) for s in config.methods),
+        "records": str(len(corpus.records)),
+        "partition": partition,
+    }
+    return EvalReport(rows=rows, metadata=metadata)
+
+
+def run_fixed_eval(corpus: Corpus, config: EvalConfig, *args, **kwargs) -> EvalReport:
+    """``run_eval`` under fixed sampling, whatever ``config`` names."""
+    return run_eval(corpus, replace(config, sampling=Sampling.FIXED), *args, **kwargs)
+
+
+def run_incremental_eval(corpus: Corpus, config: EvalConfig, *args, **kwargs) -> EvalReport:
+    """``run_eval`` under incremental sampling, whatever ``config`` names."""
+    return run_eval(corpus, replace(config, sampling=Sampling.INCREMENTAL), *args, **kwargs)

@@ -2,11 +2,12 @@
 
 Two rankers live here. ``recommend`` scores every history record against
 the query with the selected similarity methods (file-path Jaccard,
-file-path adapted Hamming, comment cosine, comment Jaccard), min-max
-normalizes each method's scores across the history, averages the selected
-methods per record, and sums per reviewer. ``revfinder_recommend`` is the
-file-path-only baseline: four string-overlap scores per record, summed per
-reviewer into four rankings that are merged by Borda count.
+file-path adapted Hamming, comment cosine, comment Jaccard) into one
+min-max normalized column per method; ``rank_selection`` averages any
+sub-selection's columns per record and sums per reviewer.
+``revfinder_recommend`` is the file-path-only baseline: four string-overlap
+scores per record, summed per reviewer into four rankings that are merged
+by Borda count.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -15,10 +16,10 @@ order, so callers may evaluate many queries concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .corpus import ReviewRecord
 from .embedding import EmbeddingTable, comment_vector
@@ -69,10 +70,12 @@ def selection_label(selection: MethodSelection) -> str:
 @dataclass(frozen=True)
 class RecommendationList:
     """Ranked (reviewer_id, score) pairs: scores non-increasing, reviewers
-    unique, ties ordered lexicographically by reviewer id."""
+    unique, ties ordered lexicographically by reviewer id; ``columns`` are
+    the normalized method columns behind it (empty for the baseline)."""
 
     entries: tuple[tuple[str, float], ...]
     query_ref: tuple[str, str]
+    columns: Mapping[MethodId, list[float]] = field(default_factory=dict, compare=False)
 
     def reviewers(self) -> list[str]:
         return [reviewer for reviewer, _ in self.entries]
@@ -128,30 +131,37 @@ def recommend(
     """Rank every reviewer in the history by summed similarity to the query.
 
     Each method's raw scores are min-max normalized across the history
-    (constant columns become all zeros), the selected methods are averaged
-    per record, and per-record scores accumulate onto the record's
-    reviewer. Reviewer sums use math.fsum, so the ranking does not depend
-    on history order.
+    (constant columns become all zeros) and ranked by ``rank_selection``;
+    the result carries those columns for ranking sub-selections.
     """
     if not history:
         raise EmptyHistoryError("cannot recommend from an empty history")
     if not methods:
         raise ConfigurationError("at least one similarity method is required")
 
-    ordered_methods = [m for m in MethodId if m in methods]
-    normalized = [
-        _minmax([method_score(query, past, m, table, stopwords) for past in history])
-        for m in ordered_methods
-    ]
+    columns = {
+        m: _minmax([method_score(query, past, m, table, stopwords) for past in history])
+        for m in MethodId if m in methods
+    }
+    return rank_selection(history, columns, methods, (query.change_id, query.patch_id))
+
+
+def rank_selection(
+    history: Sequence[ReviewRecord],
+    columns: Mapping[MethodId, list[float]],
+    methods: frozenset,
+    query_ref: tuple[str, str],
+) -> RecommendationList:
+    """Average the selected columns per record and sum onto reviewers with
+    math.fsum, so the ranking does not depend on history order."""
+    selected = [columns[m] for m in MethodId if m in methods]
     per_reviewer: dict[str, list[float]] = {}
     for idx, past in enumerate(history):
-        combined = math.fsum(column[idx] for column in normalized) / len(ordered_methods)
+        combined = math.fsum(column[idx] for column in selected) / len(selected)
         per_reviewer.setdefault(past.reviewer_id, []).append(combined)
 
     totals = {reviewer: math.fsum(scores) for reviewer, scores in per_reviewer.items()}
-    return RecommendationList(
-        entries=_ranked_entries(totals), query_ref=(query.change_id, query.patch_id)
-    )
+    return RecommendationList(entries=_ranked_entries(totals), query_ref=query_ref, columns=columns)
 
 
 # Baseline string-overlap components, computed on raw path characters and

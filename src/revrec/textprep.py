@@ -9,7 +9,7 @@ separators into a token set. Both functions are pure; results are cached.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 
 from .errors import ValidationError
@@ -18,8 +18,6 @@ from .errors import ValidationError
 # like "utf8" survive, pure-digit tokens are dropped later as noise.
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 _PATH_SPLIT_RE = re.compile(r"[/._-]+")
-
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
 
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:
@@ -35,11 +33,9 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     return frozenset(word.strip().lower() for word in text.splitlines() if word.strip())
 
 
+@cache
 def default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = load_stopwords()
-    return _DEFAULT_STOPWORDS
+    return load_stopwords()
 
 
 def preprocess_comment(text: str, stopwords: frozenset[str] | None = None) -> list[str]:

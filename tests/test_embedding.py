@@ -1,6 +1,7 @@
 """Word-vector file parsing and comment vector aggregation."""
 
 import random
+import re
 import string
 
 import numpy as np
@@ -21,6 +22,14 @@ def _write(tmp_path, text):
     path = tmp_path / "vecs.txt"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _random_char(rng):
+    """Any code point but a surrogate, ASCII half of the time."""
+    while True:
+        code = rng.randrange(0x80) if rng.random() < 0.5 else rng.randrange(0x110000)
+        if not 0xD800 <= code < 0xE000:
+            return chr(code)
 
 
 class TestLoadEmbeddingTable:
@@ -65,6 +74,12 @@ class TestLoadEmbeddingTable:
             table = load_embedding_table(_write(tmp_path, "5 2\napi 1 0\n"))
         assert len(table) == 1
 
+    def test_line_numbers_follow_file_lines(self, tmp_path):
+        # U+2028 is whitespace inside a row, not a line end
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_embedding_table(_write(tmp_path, "2 2\napi 1 0\u2028\nbug 1\n"))
+        assert exc.value.line_no == 3
+
     def test_scientific_notation_and_negatives(self, tmp_path):
         table = load_embedding_table(_write(tmp_path, "1 2\napi -1.5e-3 2E2\n"))
         np.testing.assert_array_equal(table.entries["api"], [-0.0015, 200.0])
@@ -87,6 +102,33 @@ class TestRoundTrip:
         assert set(again.entries) == set(table.entries)
         for word in table.entries:
             np.testing.assert_array_equal(again.entries[word], table.entries[word])
+
+    @pytest.mark.parametrize("word", ["", "a b", "x\ty", "x\u2028y", "x\x85y"],
+                             ids=["empty", "space", "tab", "U+2028", "U+0085"])
+    def test_word_that_cannot_load_back_is_rejected(self, tmp_path, word):
+        table = EmbeddingTable(dimension=2, entries={
+            "api": np.array([1.0, 0.0]), word: np.array([0.0, 1.0])})
+        path = tmp_path / "vecs.txt"
+        with pytest.raises(EmbeddingFormatError, match=re.escape(repr(word))):
+            save_embedding_table(table, path)
+        assert not path.exists()
+
+    def test_random_unicode_words_round_trip(self, tmp_path):
+        rng = random.Random(43)
+        entries = {}
+        while len(entries) < 500:
+            word = "".join(_random_char(rng) for _ in range(rng.randint(1, 6)))
+            if rng.random() < 0.3:
+                word += rng.choice(" \t\r\n\x0b\x0c\x1c\x85\u2028\u2029")
+            if word.split() == [word]:
+                entries[word] = np.array(
+                    [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(3)])
+        path = tmp_path / "unicode.txt"
+        save_embedding_table(EmbeddingTable(dimension=3, entries=entries), path)
+        again = load_embedding_table(path)
+        assert list(again.entries) == list(entries)
+        for word, vector in entries.items():
+            np.testing.assert_array_equal(again.entries[word], vector)
 
 
 class TestCommentVector:

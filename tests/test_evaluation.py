@@ -6,7 +6,9 @@ import random
 import pytest
 
 import oracle
+import revrec.evaluation
 from conftest import make_record, random_records, random_table
+from revrec.cli import compare_selections
 from revrec.corpus import Corpus
 from revrec.errors import ConfigurationError, EvaluationError
 from revrec.evaluation import (
@@ -313,6 +315,41 @@ class TestRunIncrementalEval:
             assert abs(row.mrr - mrr) < 1e-12
 
 
+class TestScoreOncePerQuery:
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    @pytest.mark.parametrize("methods, union", [
+        (compare_selections(), frozenset(MethodId)),
+        ((FP_JC, frozenset({MethodId.FP_HD, MethodId.RC_JC}), "REVFINDER"),
+         frozenset({MethodId.FP_JC, MethodId.FP_HD, MethodId.RC_JC})),
+        (("REVFINDER",), None),
+    ], ids=["compare", "partial", "revfinder-only"])
+    def test_one_union_recommend_call_per_query(self, monkeypatch, sampling, methods, union):
+        rng = random.Random(97)
+        corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
+        calls = []
+        inner = revrec.evaluation.recommend
+
+        def counting(query, history, selection, *args, **kwargs):
+            calls.append(selection)
+            return inner(query, history, selection, *args, **kwargs)
+
+        monkeypatch.setattr(revrec.evaluation, "recommend", counting)
+        config = EvalConfig(methods=methods, sampling=sampling)
+        run_eval(corpus, config, random_table(rng))
+        if sampling is Sampling.FIXED:
+            queries = math.ceil(config.test_fraction * 40)
+        else:
+            queries = sum(math.ceil(config.test_fraction * (end - start))
+                          for start, end in incremental_chunks(40, config.steps))
+        assert calls == ([union] * queries if union else [])
+
+    def test_repeated_selection_gives_identical_row_groups(self):
+        corpus = Corpus(project="synth", records=tuple(random_records(random.Random(5), 30)))
+        single = run_fixed_eval(corpus, EvalConfig(methods=(FP_JC,))).rows
+        repeated = run_fixed_eval(corpus, EvalConfig(methods=(FP_JC, FP_JC))).rows
+        assert repeated == single + single
+
+
 class TestRunEvalDispatch:
     def test_sampling_selects_runner(self, late_owner_corpus):
         fixed = run_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)))
@@ -322,6 +359,19 @@ class TestRunEvalDispatch:
         )
         assert fixed.metadata["sampling"] == "fixed"
         assert incremental.metadata["sampling"] == "incremental"
+
+    def test_named_runners_force_their_sampling(self, late_owner_corpus):
+        keys = ["project", "sampling", "seed", "test_fraction", "k_values", "methods",
+                "records", "partition"]
+        incremental_config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL)
+        fixed = run_fixed_eval(late_owner_corpus, incremental_config, None, None, 2)
+        assert list(fixed.metadata) == keys
+        want = run_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)))
+        assert fixed.to_csv_text() == want.to_csv_text()
+        incremental = run_incremental_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)), jobs=2)
+        assert list(incremental.metadata) == keys[:4] + ["steps"] + keys[4:]
+        want = run_eval(late_owner_corpus, incremental_config)
+        assert incremental.to_csv_text() == want.to_csv_text()
 
 
 class TestReportFormats:

@@ -13,6 +13,7 @@ from revrec.recommender import (
     MethodId,
     method_score,
     parse_method_selection,
+    rank_selection,
     recommend,
     revfinder_recommend,
     selection_label,
@@ -169,6 +170,27 @@ class TestRecommend:
         result = recommend(q, hist, frozenset({MethodId.FP_JC}))
         want = sorted(raw, key=lambda rid: (-raw[rid], rid))
         assert result.reviewers() == want
+
+
+class TestRankSelection:
+    def test_union_columns_rank_every_subset_like_recommend(self):
+        rng = random.Random(61)
+        for trial in range(10):
+            hist = random_records(random.Random(300 + trial), rng.randint(1, 20))
+            table = random_table(rng)
+            query = random_records(rng, 1)[0]
+            union = recommend(query, hist, frozenset(MethodId), table=table)
+            assert list(union.columns) == list(MethodId)
+            assert all(len(column) == len(hist) for column in union.columns.values())
+            for selection in ALL_SELECTIONS:
+                ranked = rank_selection(hist, union.columns, selection, union.query_ref)
+                assert ranked.entries == recommend(query, hist, selection, table=table).entries
+                assert ranked.columns is union.columns
+
+    def test_recommend_carries_only_selected_columns(self):
+        hist = [make_record(change_id="h", reviewer_id="r1")]
+        result = recommend(make_record(change_id="q"), hist, frozenset({MethodId.FP_HD}))
+        assert list(result.columns) == [MethodId.FP_HD]
 
 
 class TestRevFinder:

@@ -66,6 +66,9 @@ class TestStopwords:
         assert len(words) == 175
         assert all(w == w.lower() and w.isalpha() for w in words)
 
+    def test_default_list_is_loaded_once(self):
+        assert default_stopwords() is default_stopwords()
+
     def test_common_words_present_domain_words_absent(self):
         words = default_stopwords()
         assert {"the", "is", "are", "and"} <= words
