@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigurationError, EmptyCorpusError, ValidationError
+from .fileio import write_replacing
 from .textprep import tokenize_path
 
 RECORD_FIELDS = (
@@ -116,6 +117,12 @@ def parse_record_line(line: str, line_no: int) -> ReviewRecord:
     for field in ("change_id", "patch_id", "file_path", "comment", "reviewer_id", "project"):
         if not isinstance(values[field], str):
             raise fail(field, f"expected a string, got {type(values[field]).__name__}")
+        # JSON escapes can spell a lone surrogate, which no UTF-8 file
+        # (and so no saved corpus) can hold.
+        try:
+            values[field].encode("utf-8")
+        except UnicodeEncodeError:
+            raise fail(field, "holds a lone surrogate, which UTF-8 cannot encode") from None
     if not isinstance(values["line"], int) or isinstance(values["line"], bool):
         raise fail("line", f"expected an integer, got {values['line']!r}")
     if not isinstance(values["timestamp"], str):
@@ -184,8 +191,10 @@ def load_corpus(path: str | Path, project: str | None = None) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out in the record file format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a corpus back out in the record file format. A value that
+    UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError and
+    leaves ``path`` as it was."""
+    with write_replacing(path) as fh:
         for record in corpus.records:
             payload = {field: getattr(record, field) for field in RECORD_FIELDS}
             payload["timestamp"] = format_timestamp(record.timestamp)

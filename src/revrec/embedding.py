@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EmbeddingFormatError
+from .fileio import write_replacing
 
 
 # eq=False: ndarray values make field-wise comparison ambiguous; compare
@@ -102,11 +103,18 @@ def _read_table(path: str | Path, lines: Iterator[str]) -> EmbeddingTable:
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write the table in the text vector format (floats via repr, so a
     save/load round trip reproduces the table exactly). Words that are
-    empty or hold whitespace would not load back, so they raise first."""
+    empty, hold whitespace or hold a lone surrogate would not load back,
+    so they raise before ``path`` is touched."""
     for word in table.entries:
         if word.split() != [word]:
             raise EmbeddingFormatError(f"word {word!r} is empty or holds whitespace; cannot save")
-    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            word.encode("utf-8")
+        except UnicodeEncodeError:
+            raise EmbeddingFormatError(
+                f"word {word!r} holds a lone surrogate, which UTF-8 cannot encode; cannot save"
+            ) from None
+    with write_replacing(path) as fh:
         fh.write(f"{len(table.entries)} {table.dimension}\n")
         for word, vector in table.entries.items():
             fh.write(word + " " + " ".join(repr(float(v)) for v in vector) + "\n")

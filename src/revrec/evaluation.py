@@ -167,6 +167,9 @@ def _score_steps(
     for step, (history, validation) in enumerate(steps):
         for query in validation:
             truth = frozenset(r.reviewer_id for r in validation if r.change_id == query.change_id)
+            # Called through this module's ``recommend`` name: the benchmark
+            # (bench/child.py) wraps ``evaluation.recommend`` to time these
+            # calls, and tests/test_bench_contract.py fails when it times none.
             scored = recommend(query, history, union, table, stopwords) if union else None
             baseline = revfinder_recommend(query, history) if REVFINDER in config.methods else None
             for position, selection in enumerate(config.methods):
@@ -279,7 +282,9 @@ def run_eval(
     sampling protocol that ``config`` names.
 
     Evaluation runs serially. ``jobs`` is accepted, here and by both
-    runners, and affects neither the output nor the execution.
+    runners, and affects neither the output nor the execution. The
+    benchmark (bench/child.py) passes it positionally, so removing it
+    needs a benchmark change; tests/test_bench_contract.py runs that path.
     """
     _check_table_available(config, table)
     incremental = config.sampling is Sampling.INCREMENTAL

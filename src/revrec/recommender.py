@@ -7,7 +7,9 @@ min-max normalized column per method; ``rank_selection`` averages any
 sub-selection's columns per record and sums per reviewer.
 ``revfinder_recommend`` is the file-path-only baseline: four string-overlap
 scores per record, summed per reviewer into four rankings that are merged
-by Borda count.
+by Borda count. The overlaps are exact integer kernels: a bit-parallel
+longest common subsequence and a grow-only longest common substring
+search.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -186,26 +188,29 @@ def _lcsuffix_len(p: str, q: str) -> int:
 
 
 def _lcsubstr_len(p: str, q: str) -> int:
+    # A common substring of length L ending at p[i] implies one of length
+    # L - 1, so ``best`` only grows: each substring search either raises it
+    # or moves on to the next end position.
     best = 0
-    prev = [0] * (len(q) + 1)
-    for a in p:
-        cur = [0] * (len(q) + 1)
-        for j, b in enumerate(q, start=1):
-            if a == b:
-                cur[j] = prev[j - 1] + 1
-                best = max(best, cur[j])
-        prev = cur
+    for i in range(len(p)):
+        while best <= i and p[i - best:i + 1] in q:
+            best += 1
     return best
 
 
 def _lcsubseq_len(p: str, q: str) -> int:
-    prev = [0] * (len(q) + 1)
+    # Bit-parallel LCS length (Hyyrö 2004). After reading p[:i], bit j of
+    # ``v`` is clear exactly where LCS(p[:i], q[:j + 1]) exceeds
+    # LCS(p[:i], q[:j]), so the clear bits count LCS(p[:i], q).
+    masks: dict[str, int] = {}
+    for j, b in enumerate(q):
+        masks[b] = masks.get(b, 0) | (1 << j)
+    full = (1 << len(q)) - 1
+    v = full
     for a in p:
-        cur = [0]
-        for j, b in enumerate(q, start=1):
-            cur.append(prev[j - 1] + 1 if a == b else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(q)]
+        u = v & masks.get(a, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(q) - v.bit_count()
 
 
 @lru_cache(maxsize=65536)

@@ -103,6 +103,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "line 2" in err and "file_path" in err and "no tokens" in err
 
+    def test_lone_surrogate_cites_line(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            json.dumps(GOOD) + "\n" + json.dumps({**GOOD, "comment": "a\ud800b"}) + "\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["validate", "--corpus", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "comment" in err and "surrogate" in err
+
     def test_unknown_key_warns_but_passes(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({**GOOD, "vote": 2}) + "\n", encoding="utf-8")

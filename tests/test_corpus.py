@@ -86,7 +86,8 @@ class TestParseRecordLine:
         ("change_id", 5), ("comment", "   "), ("file_path", ""),
         ("file_path", "a// b"), ("file_path", "__"), ("file_path", "."),
         ("file_path", "-"), ("reviewer_id", ""),
-    ])
+    ] + [(field, "a\ud800b") for field in
+         ("change_id", "patch_id", "file_path", "comment", "reviewer_id", "project")])
     def test_field_violations(self, field, value):
         with pytest.raises(ValidationError) as exc:
             parse_record_line(json.dumps({**GOOD, field: value}), 1)
@@ -199,6 +200,16 @@ class TestRoundTrip:
         save_corpus(corpus, path)
         assert sep in path.read_text(encoding="utf-8")  # written raw, not escaped
         assert load_corpus(path, "test").records == corpus.records
+
+    def test_unencodable_value_leaves_target_unchanged(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        save_corpus(Corpus(project="test", records=(make_record(),)), path)
+        before = path.read_bytes()
+        records = (make_record(change_id="c0"), make_record(change_id="c1", comment="a\ud800b"))
+        with pytest.raises(UnicodeEncodeError):
+            save_corpus(Corpus(project="test", records=records), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
     def test_multiset_preserved(self, tmp_path):
         records = [make_record(change_id=f"c{i}", reviewer_id=f"r{i % 3}", minute=i)

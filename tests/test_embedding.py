@@ -113,6 +113,17 @@ class TestRoundTrip:
             save_embedding_table(table, path)
         assert not path.exists()
 
+    def test_lone_surrogate_word_leaves_target_unchanged(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        save_embedding_table(EmbeddingTable(dimension=2, entries={"ok": np.array([1.0, 2.0])}), path)
+        before = path.read_bytes()
+        table = EmbeddingTable(dimension=2, entries={
+            "ok": np.array([1.0, 2.0]), "a\ud800b": np.array([0.0, 1.0])})
+        with pytest.raises(EmbeddingFormatError, match="surrogate"):
+            save_embedding_table(table, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+
     def test_random_unicode_words_round_trip(self, tmp_path):
         rng = random.Random(43)
         entries = {}

@@ -18,7 +18,7 @@ from revrec.recommender import (
     revfinder_recommend,
     selection_label,
 )
-from revrec.recommender import _path_overlap_scores
+from revrec.recommender import _lcsubseq_len, _lcsubstr_len, _path_overlap_scores
 
 ALL_SELECTIONS = [
     frozenset(combo)
@@ -221,6 +221,17 @@ class TestRevFinder:
                 oracle.lcsubseq_len(p, q) / longer,
             )
             assert got == want
+
+    @pytest.mark.parametrize("alphabet", ["ab/", "ab/cd._-", "é/😀ßx"])
+    def test_overlap_kernels_match_oracle(self, alphabet):
+        # Lengths reach past 64 so that a fixed-width bit-vector port
+        # fails here; "ab/" gives long repeated runs.
+        rng = random.Random(f"kernels/{alphabet}")
+        for _ in range(400):
+            p = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            q = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            assert _lcsubseq_len(p, q) == oracle.lcsubseq_len(p, q), (p, q)
+            assert _lcsubstr_len(p, q) == oracle.lcsubstr_len(p, q), (p, q)
 
     def test_six_record_borda_oracle(self):
         rng = random.Random(71)
