@@ -2,17 +2,19 @@
 
 A corpus file is UTF-8 JSON Lines: one flat object per line with keys
 exactly ``change_id``, ``patch_id``, ``file_path``, ``line``, ``comment``,
-``reviewer_id``, ``timestamp`` (ISO-8601), ``project``. Unknown keys are
-ignored with a warning. A loaded Corpus is immutable and chronologically
-sorted, so it is safe to share across concurrent readers.
+``reviewer_id``, ``timestamp`` (the ISO-8601 subset that
+``parse_timestamp`` documents), ``project``. Unknown keys are ignored with
+a warning. A loaded Corpus is immutable and chronologically sorted, so it
+is safe to share across concurrent readers.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import ConfigurationError, EmptyCorpusError, ValidationError
@@ -78,15 +80,38 @@ def validate_record(record: ReviewRecord) -> None:
         raise ValidationError(f"line must be non-negative, got {record.line}", field="line")
 
 
+TIMESTAMP_FORM = "YYYY-MM-DD[(T| )HH:MM[:SS[.f{1,6}]][Z|z|+HH:MM|-HH:MM]]"
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})"
+    r"(?:[T ](\d{2}):(\d{2})(?::(\d{2})(?:\.(\d{1,6}))?)?"
+    r"(?:[Zz]|([+-])(\d{2}):([0-5]\d))?)?",
+    re.ASCII,
+)
+
+
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 instant; a missing timezone is read as UTC."""
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    """Parse one instant of the ISO-8601 subset ``TIMESTAMP_FORM``, in UTC.
+
+    Surrounding whitespace is ignored; a missing time is midnight and a
+    missing zone is UTC. Anything else raises ValueError, whatever
+    ``datetime.fromisoformat`` accepts on the running Python.
+    """
+    match = _TIMESTAMP_RE.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"expected {TIMESTAMP_FORM}, got {value!r}")
+    year, month, day, hour, minute, second, fraction, sign, off_h, off_m = match.groups()
+    zone = timezone.utc
+    try:
+        if sign:
+            offset = timedelta(hours=int(off_h), minutes=int(off_m))
+            zone = timezone(-offset if sign == "-" else offset)
+        parsed = datetime(
+            int(year), int(month), int(day), int(hour or 0), int(minute or 0),
+            int(second or 0), int(fraction.ljust(6, "0")) if fraction else 0, tzinfo=zone,
+        )
+        return parsed.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"{value!r} is out of range ({err})") from None
 
 
 def format_timestamp(value: datetime) -> str:
@@ -126,11 +151,11 @@ def parse_record_line(line: str, line_no: int) -> ReviewRecord:
     if not isinstance(values["line"], int) or isinstance(values["line"], bool):
         raise fail("line", f"expected an integer, got {values['line']!r}")
     if not isinstance(values["timestamp"], str):
-        raise fail("timestamp", "expected an ISO-8601 string")
+        raise fail("timestamp", f"expected a string of the form {TIMESTAMP_FORM}")
     try:
         values["timestamp"] = parse_timestamp(values["timestamp"])
     except ValueError as err:
-        raise fail("timestamp", f"not ISO-8601 ({values['timestamp']!r})") from err
+        raise fail("timestamp", str(err)) from err
 
     record = ReviewRecord(**values)
     try:

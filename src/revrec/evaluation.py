@@ -31,6 +31,7 @@ from .recommender import (
     rank_selection,
     recommend,
     revfinder_recommend,
+    reviewer_groups,
     selection_label,
 )
 
@@ -160,11 +161,13 @@ def _score_steps(
     configured selection, and average each metric over the steps with
     equal weights. Each query is scored once: one ``recommend`` call with
     the union of the similarity selections, and one ``revfinder_recommend``
-    call if the baseline is configured."""
+    call if the baseline is configured. Each step's reviewer groups are
+    built once and rank every selection of its queries."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
     # cases[position][step]: a selection configured twice gets two groups.
     cases = [[[] for _ in steps] for _ in config.methods]
     for step, (history, validation) in enumerate(steps):
+        groups = reviewer_groups(history)
         for query in validation:
             truth = frozenset(r.reviewer_id for r in validation if r.change_id == query.change_id)
             # Called through this module's ``recommend`` name: the benchmark
@@ -174,7 +177,7 @@ def _score_steps(
             baseline = revfinder_recommend(query, history) if REVFINDER in config.methods else None
             for position, selection in enumerate(config.methods):
                 ranking = baseline if selection == REVFINDER else rank_selection(
-                    history, scored.columns, selection, scored.query_ref)
+                    groups, scored.columns, selection, scored.query_ref)
                 cases[position][step].append(EvalCase(query, truth, ranking))
     rows = []
     for selection, step_cases in zip(config.methods, cases):

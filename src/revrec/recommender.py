@@ -11,6 +11,13 @@ by Borda count. The overlaps are exact integer kernels: a bit-parallel
 longest common subsequence and a grow-only longest common substring
 search.
 
+A score depends only on the query and one key of the record: its file
+path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
+Each distinct key is scored once per query and the float is copied to
+every record that holds it; comment vectors are cached per process.
+Every reviewer sum goes through ``reviewer_groups``, so no ranking
+regroups the history.
+
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
 """
@@ -21,7 +28,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .corpus import ReviewRecord
 from .embedding import EmbeddingTable, comment_vector
@@ -106,9 +116,10 @@ def method_score(
     if method is MethodId.RC_CS:
         if table is None:
             raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
-        u = comment_vector(preprocess_comment(query.comment, stopwords), table)
-        v = comment_vector(preprocess_comment(past.comment, stopwords), table)
-        return cosine(u.values, v.values)
+        return cosine(
+            _comment_values(query.comment, stopwords, table),
+            _comment_values(past.comment, stopwords, table),
+        )
     raise ConfigurationError(f"unknown method {method!r}")
 
 
@@ -121,6 +132,29 @@ def _minmax(scores: list[float]) -> list[float]:
 
 def _ranked_entries(totals: dict[str, float]) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
+
+
+def reviewer_groups(history: Sequence[ReviewRecord]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Each reviewer of the history with the indices of its records."""
+    groups: dict[str, list[int]] = {}
+    for idx, past in enumerate(history):
+        groups.setdefault(past.reviewer_id, []).append(idx)
+    return tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
+
+
+def _score_by_key(
+    query: ReviewRecord,
+    history: Sequence[ReviewRecord],
+    method: MethodId,
+    table: EmbeddingTable | None,
+    stopwords: frozenset[str] | None,
+) -> list[float]:
+    """``method_score`` of every record, called once per distinct key."""
+    key = attrgetter("file_path" if method in (MethodId.FP_JC, MethodId.FP_HD) else "comment")
+    # Any record holding a key stands for all of them.
+    holders = {key(past): past for past in history}
+    scores = {k: method_score(query, past, method, table, stopwords) for k, past in holders.items()}
+    return [scores[key(past)] for past in history]
 
 
 def recommend(
@@ -142,27 +176,38 @@ def recommend(
         raise ConfigurationError("at least one similarity method is required")
 
     columns = {
-        m: _minmax([method_score(query, past, m, table, stopwords) for past in history])
+        m: _minmax(_score_by_key(query, history, m, table, stopwords))
         for m in MethodId if m in methods
     }
-    return rank_selection(history, columns, methods, (query.change_id, query.patch_id))
+    return rank_selection(
+        reviewer_groups(history), columns, methods, (query.change_id, query.patch_id)
+    )
 
 
 def rank_selection(
-    history: Sequence[ReviewRecord],
+    groups: Sequence[tuple[str, Sequence[int]]],
     columns: Mapping[MethodId, list[float]],
     methods: frozenset,
     query_ref: tuple[str, str],
 ) -> RecommendationList:
-    """Average the selected columns per record and sum onto reviewers with
-    math.fsum, so the ranking does not depend on history order."""
-    selected = [columns[m] for m in MethodId if m in methods]
-    per_reviewer: dict[str, list[float]] = {}
-    for idx, past in enumerate(history):
-        combined = math.fsum(column[idx] for column in selected) / len(selected)
-        per_reviewer.setdefault(past.reviewer_id, []).append(combined)
+    """Average the selected columns per record and sum each reviewer's
+    group (see ``reviewer_groups``) with math.fsum, so the ranking does not
+    depend on history order.
 
-    totals = {reviewer: math.fsum(scores) for reviewer, scores in per_reviewer.items()}
+    The mean of one column is the column, and of two is ``(a + b) / 2``:
+    IEEE addition is correctly rounded, so it equals ``fsum([a, b])``.
+    """
+    selected = [columns[m] for m in MethodId if m in methods]
+    n = len(selected)
+    if n == 1:
+        combined = selected[0]
+    elif n == 2:
+        combined = [(a + b) / 2 for a, b in zip(*selected)]
+    else:
+        combined = [math.fsum(values) / n for values in zip(*selected)]
+    totals = {
+        reviewer: math.fsum([combined[i] for i in indices]) for reviewer, indices in groups
+    }
     return RecommendationList(entries=_ranked_entries(totals), query_ref=query_ref, columns=columns)
 
 
@@ -214,6 +259,17 @@ def _lcsubseq_len(p: str, q: str) -> int:
 
 
 @lru_cache(maxsize=65536)
+def _comment_values(
+    comment: str, stopwords: frozenset[str] | None, table: EmbeddingTable
+) -> np.ndarray:
+    """A comment's vector, read-only. Tables compare by identity, so two
+    tables never share an entry."""
+    values = comment_vector(preprocess_comment(comment, stopwords), table).values
+    values.flags.writeable = False
+    return values
+
+
+@lru_cache(maxsize=65536)
 def _path_overlap_scores(p: str, q: str) -> tuple[float, float, float, float]:
     longer = max(len(p), len(q))
     if longer == 0:
@@ -238,15 +294,18 @@ def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) ->
     if not history:
         raise EmptyHistoryError("cannot recommend from an empty history")
 
-    component_totals: list[dict[str, list[float]]] = [{} for _ in range(4)]
-    for past in history:
-        scores = _path_overlap_scores(query.file_path, past.file_path)
-        for component, score in enumerate(scores):
-            component_totals[component].setdefault(past.reviewer_id, []).append(score)
-
+    by_path = {
+        path: _path_overlap_scores(query.file_path, path)
+        for path in dict.fromkeys(past.file_path for past in history)
+    }
+    rows = [by_path[past.file_path] for past in history]
+    groups = reviewer_groups(history)
     borda: dict[str, float] = {}
-    for totals in component_totals:
-        summed = {reviewer: math.fsum(scores) for reviewer, scores in totals.items()}
+    for component in range(4):
+        summed = {
+            reviewer: math.fsum([rows[i][component] for i in indices])
+            for reviewer, indices in groups
+        }
         ranking = _ranked_entries(summed)
         n = len(ranking)
         for idx, (reviewer, _) in enumerate(ranking):

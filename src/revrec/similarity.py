@@ -6,6 +6,7 @@ All kernels are symmetric and return a float in [0, 1].
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection, Sequence
 
 import numpy as np
@@ -50,8 +51,10 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValidationError(f"vector length mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)); spelling it
+    # out gives the same double without its dispatch.
+    nu = math.sqrt(float(u.dot(u)))
+    nv = math.sqrt(float(v.dot(v)))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if np.array_equal(u, v):

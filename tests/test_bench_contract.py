@@ -1,11 +1,13 @@
 """The benchmark's output contract: a short `bench/run.py` run of each
-workload ends with one JSON line that reports a correct run and every
-end-to-end metric.
+workload ends with one JSON line that reports a correct run and a value
+for every metric BENCHMARK.json declares: the end-to-end ones untraced,
+the per-layer ones traced.
 
 `bench/child.py` reaches into the package (it wraps
 `evaluation.recommend` to time the four-method rankings and passes
-`run_eval`'s `jobs` positionally), so a refactor can break the benchmark
-while every other test passes. The run works on a copy of the repository
+`run_eval`'s `jobs` positionally; traced runs wrap a dozen more of its
+functions by name), so a refactor can break the benchmark while every
+other test passes. The run works on a copy of the repository
 in a temporary directory, so nothing is written to `.bench_work/`.
 """
 
@@ -32,19 +34,38 @@ def bench_copy(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", ["fixed-compare", "incremental-jobs2"])
-def test_short_run_reports_every_metric(bench_copy, workload):
+def bench_result(root, workload, seed, trace, kind):
+    """Run `bench/run.py` for one second; check that it reports a correct
+    run with a value for every metric BENCHMARK.json declares of ``kind``,
+    and return that result."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "401",
-         "--seconds", "1", "--trace", "0"],
-        cwd=bench_copy, capture_output=True, text=True, timeout=300,
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    names = [metric["name"] for metric in declared]
-    assert len(names) == 4
-    for name in names:
-        assert result["metrics"][name]["value"] is not None, name
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))[kind]
+    for metric in declared:
+        assert result["metrics"][metric["name"]]["value"] is not None, metric["name"]
+    return result
+
+
+@pytest.mark.parametrize("workload", ["fixed-compare", "incremental-jobs2"])
+def test_short_run_reports_every_metric(bench_copy, workload):
+    result = bench_result(bench_copy, workload, 401, 0, "end_to_end")
+    assert len(result["metrics"]) == 4
+
+
+@pytest.mark.parametrize("workload", ["fixed-compare", "incremental-jobs2"])
+def test_other_seed_reports_every_metric(bench_copy, workload):
+    bench_result(bench_copy, workload, 402, 0, "end_to_end")
+
+
+# A traced run reads a layer whose function was renamed or deleted as null,
+# which the untraced runs above cannot see.
+@pytest.mark.parametrize("workload", ["fixed-compare", "incremental-jobs2"])
+def test_traced_run_reports_every_layer(bench_copy, workload):
+    bench_result(bench_copy, workload, 401, 1, "per_layer")

@@ -49,6 +49,42 @@ class TestParseTimestamp:
         assert parse_timestamp(format_timestamp(stamp)) == stamp
         assert format_timestamp(stamp).endswith("Z")
 
+    @pytest.mark.parametrize("text,want", [
+        ("2014-05-01", datetime(2014, 5, 1, tzinfo=timezone.utc)),
+        ("2014-05-01T10:00", datetime(2014, 5, 1, 10, tzinfo=timezone.utc)),
+        ("2014-05-01 10:00:07", datetime(2014, 5, 1, 10, 0, 7, tzinfo=timezone.utc)),
+        ("2014-05-01T10:00:07.1+00:00", datetime(2014, 5, 1, 10, 0, 7, 100000, tzinfo=timezone.utc)),
+        ("2014-05-01T10:00:07.123456Z", datetime(2014, 5, 1, 10, 0, 7, 123456, tzinfo=timezone.utc)),
+        ("2014-05-01T10:00z", datetime(2014, 5, 1, 10, tzinfo=timezone.utc)),
+        ("2014-05-01T12:30+02:30", datetime(2014, 5, 1, 10, tzinfo=timezone.utc)),
+        ("2014-05-01T10:00:00-01:00", datetime(2014, 5, 1, 11, tzinfo=timezone.utc)),
+        ("2014-05-01T00:30-23:59", datetime(2014, 5, 2, 0, 29, tzinfo=timezone.utc)),
+        ("  2014-05-01T10:00Z\n", datetime(2014, 5, 1, 10, tzinfo=timezone.utc)),
+    ])
+    def test_accepted_forms(self, text, want):
+        parsed = parse_timestamp(text)
+        assert parsed == want
+        assert parsed.tzinfo is timezone.utc
+
+    @pytest.mark.parametrize("text", [
+        "", "yesterday", "2014-5-1", "2014/05/01", "20200102T030405", "2020-W01-1",
+        "2020-001", "2014-05-01t10:00", "2014-05-01T10", "2014-05-01T10:00:07.1234567",
+        "2014-05-01T10:00:07,5", "2014-05-01T10:00.5", "2014-05-01Z",
+        "2014-05-01T10:00 Z", "2014-05-01T10:00+0200", "2014-05-01T10:00+02",
+        "2014-05-01T10:00+02:00:30", "2014-05-01T10:00+02:60", "2014-05-01T10:00+24:00",
+        "2014-13-01", "2014-02-30", "2014-05-01T24:00", "2014-05-01T10:60",
+        "2014-05-01T10:00:60", "\u0662\u0660\u0661\u0664-05-01",
+        "9999-12-31T23:00-05:00", "0001-01-01T00:30+01:00",
+    ])
+    def test_rejected_forms(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+        with pytest.raises(ValidationError) as exc:
+            parse_record_line(json.dumps({**GOOD, "timestamp": text}), 7)
+        assert exc.value.field == "timestamp"
+        assert exc.value.line_no == 7
+        assert str(exc.value).startswith("line 7: timestamp: ")
+
 
 class TestParseRecordLine:
     def test_valid(self):

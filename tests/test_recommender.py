@@ -1,12 +1,16 @@
 """Reviewer ranking: per-method scores, aggregation, and the baseline."""
 
 import itertools
+import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracle
 from conftest import make_record, random_records, random_table
+from revrec.embedding import EmbeddingTable
 from revrec.errors import ConfigurationError, EmptyHistoryError
 from revrec.recommender import (
     REVFINDER,
@@ -16,9 +20,15 @@ from revrec.recommender import (
     rank_selection,
     recommend,
     revfinder_recommend,
+    reviewer_groups,
     selection_label,
 )
-from revrec.recommender import _lcsubseq_len, _lcsubstr_len, _path_overlap_scores
+from revrec.recommender import (
+    _comment_values,
+    _lcsubseq_len,
+    _lcsubstr_len,
+    _path_overlap_scores,
+)
 
 ALL_SELECTIONS = [
     frozenset(combo)
@@ -172,6 +182,65 @@ class TestRecommend:
         assert result.reviewers() == want
 
 
+def repeated_key_history(rng):
+    """A random history in which paths and comments recur under other
+    reviewers, so that per-key scoring has keys to share."""
+    hist = random_records(rng, 24)
+    for i in range(12):
+        src = rng.choice(hist)
+        hist.append(replace(src, change_id=f"x{i}", reviewer_id=f"rev{rng.choice('abcz')}",
+                            comment=src.comment if i % 2 else rng.choice(hist).comment))
+    return hist
+
+
+class TestRepeatedKeys:
+    def test_recommend_and_revfinder_unchanged_under_permutation(self):
+        rng = random.Random(79)
+        for trial in range(5):
+            hist = repeated_key_history(rng)
+            assert len({r.file_path for r in hist}) < len(hist)
+            assert len({r.comment for r in hist}) < len(hist)
+            table = random_table(rng)
+            query = replace(rng.choice(hist), change_id="q")
+            got = recommend(query, hist, frozenset(MethodId), table=table)
+            base = revfinder_recommend(query, hist)
+            shuffled = hist[:]
+            rng.shuffle(shuffled)
+            assert recommend(query, shuffled, frozenset(MethodId), table=table).entries == got.entries
+            assert revfinder_recommend(query, shuffled).entries == base.entries
+            want = oracle.recommend(query, hist, [m.value for m in MethodId], table.entries,
+                                    table.dimension, oracle.stopword_list())
+            assert [r for r, _ in got.entries] == [r for r, _ in want]
+            assert all(abs(g - w) < 1e-12 for (_, g), (_, w) in zip(got.entries, want))
+            assert list(base.entries) == oracle.revfinder(query, hist)
+
+
+class TestCommentVectorCache:
+    def test_tables_never_share_an_entry(self):
+        # Same words, different vectors: a cache keyed on the comment
+        # alone would give the second table the first one's vectors.
+        first = EmbeddingTable(2, {"api": np.array([1.0, 0.0]), "broken": np.array([0.0, 1.0])})
+        second = EmbeddingTable(2, {"api": np.array([1.0, 0.0]), "broken": np.array([1.0, 0.0])})
+        q = make_record(comment="api")
+        p = make_record(comment="broken")
+        assert method_score(q, p, MethodId.RC_CS, table=first) == 0.0
+        assert method_score(q, p, MethodId.RC_CS, table=second) == 1.0
+        assert method_score(q, p, MethodId.RC_CS, table=first) == 0.0
+
+    def test_stopwords_are_part_of_the_key(self, tiny_table):
+        q = make_record(comment="api broken")
+        p = make_record(comment="broken")
+        assert method_score(q, p, MethodId.RC_CS, tiny_table) < 1.0
+        assert method_score(q, p, MethodId.RC_CS, tiny_table, frozenset({"api"})) == 1.0
+
+    def test_cached_vectors_are_read_only(self, tiny_table):
+        values = _comment_values("api broken", None, tiny_table)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 5.0
+        assert _comment_values("api broken", None, tiny_table) is values
+
+
 class TestRankSelection:
     def test_union_columns_rank_every_subset_like_recommend(self):
         rng = random.Random(61)
@@ -183,9 +252,40 @@ class TestRankSelection:
             assert list(union.columns) == list(MethodId)
             assert all(len(column) == len(hist) for column in union.columns.values())
             for selection in ALL_SELECTIONS:
-                ranked = rank_selection(hist, union.columns, selection, union.query_ref)
+                ranked = rank_selection(reviewer_groups(hist), union.columns, selection, union.query_ref)
                 assert ranked.entries == recommend(query, hist, selection, table=table).entries
                 assert ranked.columns is union.columns
+
+    def test_group_sums_equal_per_record_fsum_means(self):
+        # Columns on a coarse grid tie often; the reference takes the mean
+        # of every record with math.fsum, whatever the number of columns.
+        rng = random.Random(83)
+        for trial in range(40):
+            n = rng.randint(1, 40)
+            reviewers = [f"r{rng.randint(0, 6)}" for _ in range(n)]
+            grid = rng.choice([None, 4, 7])
+            columns = {
+                m: [rng.randint(0, grid) / grid if grid else rng.random() for _ in range(n)]
+                for m in MethodId
+            }
+            groups: dict[str, list[int]] = {}
+            for idx, reviewer in enumerate(reviewers):
+                groups.setdefault(reviewer, []).append(idx)
+            for selection in ALL_SELECTIONS:
+                selected = [columns[m] for m in MethodId if m in selection]
+                means = [math.fsum([c[i] for c in selected]) / len(selected) for i in range(n)]
+                totals = {r: math.fsum([means[i] for i in ix]) for r, ix in groups.items()}
+                want = tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
+                got = rank_selection(tuple(groups.items()), columns, selection, ("q", "p"))
+                assert got.entries == want
+
+    def test_reviewer_groups_cover_each_record_once(self):
+        hist = random_records(random.Random(89), 25)
+        groups = reviewer_groups(hist)
+        assert sorted(i for _, ix in groups for i in ix) == list(range(len(hist)))
+        for reviewer, ix in groups:
+            assert {hist[i].reviewer_id for i in ix} == {reviewer}
+        assert len({reviewer for reviewer, _ in groups}) == len(groups)
 
     def test_recommend_carries_only_selected_columns(self):
         hist = [make_record(change_id="h", reviewer_id="r1")]

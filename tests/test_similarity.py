@@ -121,3 +121,17 @@ class TestCosine:
             assert cosine(u, u) in (0.0, pytest.approx(1.0, abs=1e-12))
             scale = rng.uniform(0.1, 50.0)
             assert cosine(u * scale, v) == pytest.approx(s, abs=1e-9)
+
+    def test_norm_is_sqrt_of_self_dot(self):
+        # cosine spells np.linalg.norm out as sqrt(u.dot(u)); ties between
+        # reviewers depend on the last bit, so a numpy that changes either
+        # side must fail here.
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            dim = int(rng.integers(3, 301))
+            scale = 10.0 ** rng.uniform(-5, 5)
+            u = rng.normal(size=dim) * scale
+            v = rng.normal(size=dim) * scale
+            assert math.sqrt(float(u.dot(u))) == float(np.linalg.norm(u))
+            norms = float(np.linalg.norm(u)) * float(np.linalg.norm(v))
+            assert cosine(u, v) == min(1.0, max(0.0, float(np.dot(u, v)) / norms))
