@@ -6,10 +6,10 @@ else as history. Incremental sampling walks the corpus chronologically in
 near-equal chunks: at each step the tail of the current chunk is validated
 against all earlier records, and per-step metrics are averaged with equal
 weights; fixed sampling is the one-step case of the same loop. Each query
-is scored once per needed method, and every selection is ranked from
-those normalized columns. Reports are deterministic byte-for-byte for a
-given corpus and config. Evaluation runs serially; the ``jobs`` argument
-is accepted and has no effect.
+is scored once per needed method, and each distinct selection is ranked
+once from those normalized columns. Reports are deterministic
+byte-for-byte for a given corpus and config. Evaluation runs serially;
+the ``jobs`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .embedding import EmbeddingTable
 from .errors import ConfigurationError, EvaluationError
 from .recommender import (
     REVFINDER,
-    MethodId,
     MethodSelection,
     RecommendationList,
+    _is_method_set,
     rank_selection,
     recommend,
     revfinder_recommend,
@@ -55,6 +55,10 @@ class EvalConfig:
     def __post_init__(self):
         if not self.methods:
             raise ConfigurationError("config needs at least one method selection")
+        if any(s != REVFINDER and not _is_method_set(s) for s in self.methods):
+            raise ConfigurationError(
+                f"selections must be REVFINDER or non-empty frozensets of MethodId: {self.methods}"
+            )
         if not self.k_values or any(k <= 0 for k in self.k_values):
             raise ConfigurationError(f"k values must be positive: {self.k_values}")
         if list(self.k_values) != sorted(set(self.k_values)):
@@ -162,7 +166,8 @@ def _score_steps(
     equal weights. Each query is scored once: one ``recommend`` call with
     the union of the similarity selections, and one ``revfinder_recommend``
     call if the baseline is configured. Each step's reviewer groups are
-    built once and rank every selection of its queries."""
+    built once, and each other distinct selection is ranked once per
+    query from ``recommend``'s columns."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
     # cases[position][step]: a selection configured twice gets two groups.
     cases = [[[] for _ in steps] for _ in config.methods]
@@ -175,10 +180,12 @@ def _score_steps(
             # calls, and tests/test_bench_contract.py fails when it times none.
             scored = recommend(query, history, union, table, stopwords) if union else None
             baseline = revfinder_recommend(query, history) if REVFINDER in config.methods else None
+            ranked = {union: scored, REVFINDER: baseline}
             for position, selection in enumerate(config.methods):
-                ranking = baseline if selection == REVFINDER else rank_selection(
-                    groups, scored.columns, selection, scored.query_ref)
-                cases[position][step].append(EvalCase(query, truth, ranking))
+                if selection not in ranked:
+                    ranked[selection] = rank_selection(
+                        groups, scored.columns, selection, scored.query_ref)
+                cases[position][step].append(EvalCase(query, truth, ranked[selection]))
     rows = []
     for selection, step_cases in zip(config.methods, cases):
         for k in config.k_values:
@@ -188,14 +195,6 @@ def _score_steps(
                 ReportRow(method=selection_label(selection), k=k, topk_accuracy=acc, mrr=mrr)
             )
     return tuple(rows)
-
-
-def _check_table_available(config: EvalConfig, table: EmbeddingTable | None) -> None:
-    needs_table = any(
-        selection != REVFINDER and MethodId.RC_CS in selection for selection in config.methods
-    )
-    if needs_table and table is None:
-        raise ConfigurationError("RC_CS selected but no word-vector table given (see --embeddings)")
 
 
 def fixed_test_indices(n: int, test_fraction: float, rng_seed: int) -> list[int]:
@@ -289,7 +288,6 @@ def run_eval(
     benchmark (bench/child.py) passes it positionally, so removing it
     needs a benchmark change; tests/test_bench_contract.py runs that path.
     """
-    _check_table_available(config, table)
     incremental = config.sampling is Sampling.INCREMENTAL
     split = _incremental_split if incremental else _fixed_split
     steps, partition = split(corpus.records, config)

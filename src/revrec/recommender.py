@@ -13,10 +13,10 @@ search.
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
-Each distinct key is scored once per query and the float is copied to
-every record that holds it; comment vectors are cached per process.
-Every reviewer sum goes through ``reviewer_groups``, so no ranking
-regroups the history.
+Both rankers score each distinct key (``_distinct``) once per query, copy
+the float to every record that holds it, and rank reviewers with
+``_rank``: one math.fsum per ``reviewer_groups`` entry, ties by reviewer
+id. Comment vectors are cached per table and die with it.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -25,10 +25,10 @@ order, so callers may evaluate many queries concurrently.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -134,6 +134,11 @@ def _ranked_entries(totals: dict[str, float]) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
 
 
+def _rank(groups: Sequence[tuple[str, Sequence[int]]], column: Sequence[float]) -> tuple:
+    """Each reviewer's math.fsum of its records' scores in ``column``, best first."""
+    return _ranked_entries({r: math.fsum([column[i] for i in ix]) for r, ix in groups})
+
+
 def reviewer_groups(history: Sequence[ReviewRecord]) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Each reviewer of the history with the indices of its records."""
     groups: dict[str, list[int]] = {}
@@ -142,19 +147,17 @@ def reviewer_groups(history: Sequence[ReviewRecord]) -> tuple[tuple[str, tuple[i
     return tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
 
 
-def _score_by_key(
-    query: ReviewRecord,
-    history: Sequence[ReviewRecord],
-    method: MethodId,
-    table: EmbeddingTable | None,
-    stopwords: frozenset[str] | None,
-) -> list[float]:
-    """``method_score`` of every record, called once per distinct key."""
-    key = attrgetter("file_path" if method in (MethodId.FP_JC, MethodId.FP_HD) else "comment")
-    # Any record holding a key stands for all of them.
-    holders = {key(past): past for past in history}
-    scores = {k: method_score(query, past, method, table, stopwords) for k, past in holders.items()}
-    return [scores[key(past)] for past in history]
+def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewRecord], list[int]]:
+    """One record per distinct value of ``field``, in first-seen order, and
+    for each history record the position of its value in that list."""
+    seen: dict[str, tuple[int, ReviewRecord]] = {}
+    positions = [seen.setdefault(getattr(past, field), (len(seen), past))[0] for past in history]
+    return [past for _, past in seen.values()], positions
+
+
+def _is_method_set(selection: object) -> bool:
+    """True for a non-empty frozenset of MethodId, which ``recommend`` takes."""
+    return isinstance(selection, frozenset) and bool(selection) and selection <= frozenset(MethodId)
 
 
 def recommend(
@@ -172,13 +175,20 @@ def recommend(
     """
     if not history:
         raise EmptyHistoryError("cannot recommend from an empty history")
-    if not methods:
-        raise ConfigurationError("at least one similarity method is required")
+    if not _is_method_set(methods):
+        raise ConfigurationError(f"expected a non-empty set of similarity methods, got {methods!r}")
 
-    columns = {
-        m: _minmax(_score_by_key(query, history, m, table, stopwords))
-        for m in MethodId if m in methods
-    }
+    keyed = {}
+    columns = {}
+    for m in MethodId:
+        if m in methods:
+            field = "file_path" if m in (MethodId.FP_JC, MethodId.FP_HD) else "comment"
+            if field not in keyed:
+                keyed[field] = _distinct(history, field)
+            holders, positions = keyed[field]
+            # The extremes of the distinct scores are those of the column.
+            normed = _minmax([method_score(query, past, m, table, stopwords) for past in holders])
+            columns[m] = [normed[i] for i in positions]
     return rank_selection(
         reviewer_groups(history), columns, methods, (query.change_id, query.patch_id)
     )
@@ -205,10 +215,7 @@ def rank_selection(
         combined = [(a + b) / 2 for a, b in zip(*selected)]
     else:
         combined = [math.fsum(values) / n for values in zip(*selected)]
-    totals = {
-        reviewer: math.fsum([combined[i] for i in indices]) for reviewer, indices in groups
-    }
-    return RecommendationList(entries=_ranked_entries(totals), query_ref=query_ref, columns=columns)
+    return RecommendationList(entries=_rank(groups, combined), query_ref=query_ref, columns=columns)
 
 
 # Baseline string-overlap components, computed on raw path characters and
@@ -217,15 +224,6 @@ def rank_selection(
 def _lcp_len(p: str, q: str) -> int:
     n = 0
     for a, b in zip(p, q):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
-def _lcsuffix_len(p: str, q: str) -> int:
-    n = 0
-    for a, b in zip(reversed(p), reversed(q)):
         if a != b:
             break
         n += 1
@@ -258,14 +256,23 @@ def _lcsubseq_len(p: str, q: str) -> int:
     return len(q) - v.bit_count()
 
 
-@lru_cache(maxsize=65536)
+_comment_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _comment_values(
     comment: str, stopwords: frozenset[str] | None, table: EmbeddingTable
 ) -> np.ndarray:
-    """A comment's vector, read-only. Tables compare by identity, so two
-    tables never share an entry."""
-    values = comment_vector(preprocess_comment(comment, stopwords), table).values
-    values.flags.writeable = False
+    """A comment's vector, read-only. Each table (by identity) holds its
+    own memo of at most 65,536 vectors, emptied when full; no vector
+    references its table, so the memo dies with the table."""
+    memo = _comment_memo.setdefault(table, {})
+    values = memo.get((comment, stopwords))
+    if values is None:
+        values = comment_vector(preprocess_comment(comment, stopwords), table).values
+        values.flags.writeable = False
+        if len(memo) >= 65536:
+            memo.clear()  # one C call, so concurrent callers need no lock
+        memo[comment, stopwords] = values
     return values
 
 
@@ -276,7 +283,7 @@ def _path_overlap_scores(p: str, q: str) -> tuple[float, float, float, float]:
         return (0.0, 0.0, 0.0, 0.0)
     return (
         _lcp_len(p, q) / longer,
-        _lcsuffix_len(p, q) / longer,
+        _lcp_len(p[::-1], q[::-1]) / longer,
         _lcsubstr_len(p, q) / longer,
         _lcsubseq_len(p, q) / longer,
     )
@@ -294,19 +301,12 @@ def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) ->
     if not history:
         raise EmptyHistoryError("cannot recommend from an empty history")
 
-    by_path = {
-        path: _path_overlap_scores(query.file_path, path)
-        for path in dict.fromkeys(past.file_path for past in history)
-    }
-    rows = [by_path[past.file_path] for past in history]
+    holders, positions = _distinct(history, "file_path")
+    rows = [_path_overlap_scores(query.file_path, past.file_path) for past in holders]
     groups = reviewer_groups(history)
     borda: dict[str, float] = {}
-    for component in range(4):
-        summed = {
-            reviewer: math.fsum([rows[i][component] for i in indices])
-            for reviewer, indices in groups
-        }
-        ranking = _ranked_entries(summed)
+    for component in zip(*rows):
+        ranking = _rank(groups, [component[i] for i in positions])
         n = len(ranking)
         for idx, (reviewer, _) in enumerate(ranking):
             borda[reviewer] = borda.get(reviewer, 0.0) + (n - idx)

@@ -9,6 +9,10 @@ the per-layer ones traced.
 functions by name), so a refactor can break the benchmark while every
 other test passes. The run works on a copy of the repository
 in a temporary directory, so nothing is written to `.bench_work/`.
+
+Every run also pins the report digest it prints: a change that moves a
+report fails here and must show that `tests/oracle.py` agrees with the
+new rankings before the pinned value is updated.
 """
 
 import json
@@ -20,6 +24,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 of the CSV and table texts of one `compare` report, per workload and seed.
+DIGESTS = {
+    ("fixed-compare", 401): "8429a75411897acb5f4c9763e2f7598c2bf72ae551b500cddad75c8c9a2fb04a",
+    ("fixed-compare", 402): "789254b6b7ae235e06a1302c21df13b17b12d90418c7d6ea8804996fa15f7e26",
+    ("incremental-jobs2", 401): "d10ea021bc7104b6adb3bce5e5e8418ca3db2a9f16be3ebd9b6ddbced282ecb3",
+    ("incremental-jobs2", 402): "3b70a819c1cbfd075e81d4d8126fc6b4f774defd85d930b0183343b711700a8a",
+}
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +48,18 @@ def bench_copy(tmp_path_factory):
 
 def bench_result(root, workload, seed, trace, kind):
     """Run `bench/run.py` for one second; check that it reports a correct
-    run with a value for every metric BENCHMARK.json declares of ``kind``,
-    and return that result."""
+    run with a value for every metric BENCHMARK.json declares of ``kind``
+    and the pinned report digest, and return that result."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "1", "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    digests = [line.split()[2] for line in lines if line.startswith("bench: digest ")]
+    assert digests == [DIGESTS[workload, seed]]
+    result = json.loads(lines[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))[kind]

@@ -247,6 +247,39 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
+    def test_random_unicode_save_load_identity(self, tmp_path):
+        # Astral characters, combining marks, the three separators that
+        # str.splitlines breaks on but a record file does not, quotes,
+        # backslashes, and escapes JSON must spell.
+        rng = random.Random(7)
+        odd = ["😀", "\U0001d518", "\u0301", "e\u0308", "\u2028", "\u2029", "\u0085",
+               '"', "'", "\\", "\t", "\n", "\r\n", " ", "é", "ß", "\x00", "\u200b"]
+        plain = list("aZ9._-")
+
+        def text(extra=()):
+            chars = [rng.choice(odd + plain + list(extra)) for _ in range(rng.randint(0, 8))]
+            chars.insert(rng.randint(0, len(chars)), rng.choice("xY😀é"))
+            return "".join(chars)
+
+        for trial in range(30):
+            project = text()
+            records = [
+                ReviewRecord(
+                    change_id=text(), patch_id=text(),
+                    file_path="/".join(text() for _ in range(rng.randint(1, 3))),
+                    line=rng.randint(0, 10**6), comment=text("/"), reviewer_id=text("/"),
+                    timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc)
+                    + timedelta(seconds=rng.randint(0, 10**8), microseconds=rng.randint(0, 3)),
+                    project=project,
+                )
+                for _ in range(rng.randint(1, 12))
+            ]
+            corpus = Corpus(project=project, records=tuple(sorted(records, key=ReviewRecord.sort_key)))
+            path = tmp_path / f"out{trial}.jsonl"
+            save_corpus(corpus, path)
+            assert load_corpus(path, project) == corpus
+            assert load_corpus(path) == corpus
+
     def test_multiset_preserved(self, tmp_path):
         records = [make_record(change_id=f"c{i}", reviewer_id=f"r{i % 3}", minute=i)
                    for i in range(9)]

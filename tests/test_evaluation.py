@@ -1,5 +1,6 @@
 """Metrics, sampling partitions, and report determinism."""
 
+import json
 import math
 import random
 
@@ -9,8 +10,8 @@ import oracle
 import revrec.evaluation
 from conftest import make_record, random_records, random_table
 from revrec.cli import compare_selections
-from revrec.corpus import Corpus
-from revrec.errors import ConfigurationError, EvaluationError
+from revrec.corpus import Corpus, ReviewRecord, parse_record_line
+from revrec.errors import ConfigurationError, EvaluationError, ValidationError
 from revrec.evaluation import (
     DEFAULT_K_VALUES,
     EvalCase,
@@ -138,6 +139,9 @@ class TestEvalConfig:
         {"methods": (FP_JC,), "test_fraction": 0.0},
         {"methods": (FP_JC,), "test_fraction": 1.0},
         {"methods": (FP_JC,), "steps": 0},
+        {"methods": ("FP_JC",)},
+        {"methods": (frozenset({"FP_JC"}),)},
+        {"methods": (frozenset(),)},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -336,12 +340,35 @@ class TestScoreOncePerQuery:
         monkeypatch.setattr(revrec.evaluation, "recommend", counting)
         config = EvalConfig(methods=methods, sampling=sampling)
         run_eval(corpus, config, random_table(rng))
-        if sampling is Sampling.FIXED:
-            queries = math.ceil(config.test_fraction * 40)
-        else:
-            queries = sum(math.ceil(config.test_fraction * (end - start))
-                          for start, end in incremental_chunks(40, config.steps))
-        assert calls == ([union] * queries if union else [])
+        assert calls == ([union] * self._queries(config, 40) if union else [])
+
+    @staticmethod
+    def _queries(config, n):
+        if config.sampling is Sampling.FIXED:
+            return math.ceil(config.test_fraction * n)
+        return sum(math.ceil(config.test_fraction * (end - start))
+                   for start, end in incremental_chunks(n, config.steps))
+
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_each_other_distinct_selection_is_ranked_once_per_query(self, monkeypatch, sampling):
+        # The union reuses recommend's own ranking, and FP_JC, configured
+        # twice, is ranked once.
+        rng = random.Random(98)
+        corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
+        fp_hd = frozenset({MethodId.FP_HD})
+        calls = []
+        inner = revrec.evaluation.rank_selection
+
+        def counting(groups, columns, selection, query_ref):
+            calls.append(selection)
+            return inner(groups, columns, selection, query_ref)
+
+        monkeypatch.setattr(revrec.evaluation, "rank_selection", counting)
+        config = EvalConfig(methods=(FP_JC, FP_JC | fp_hd, fp_hd, FP_JC), sampling=sampling)
+        counted = run_eval(corpus, config)
+        monkeypatch.undo()
+        assert counted == run_eval(corpus, config)
+        assert calls == [FP_JC, fp_hd] * self._queries(config, 40)
 
     def test_repeated_selection_gives_identical_row_groups(self):
         corpus = Corpus(project="synth", records=tuple(random_records(random.Random(5), 30)))
@@ -400,3 +427,53 @@ class TestReportFormats:
         a = self._report()
         b = EvalReport(rows=a.rows, metadata={"project": "other"})
         assert a == b
+
+
+class TestSmallCorpusFuzz:
+    # Field values that make odd corpora: paths that split into one token
+    # or into non-ASCII ones, comments that preprocess to nothing, one
+    # reviewer, shared change ids and equal timestamps. About one line in
+    # six gets a value that fails parse_record_line and is dropped.
+    PATHS = ["a", "a/b.py", "__init__.py", "x-y/z_w", "é/😀", "a/b.py"]
+    COMMENTS = ["alpha bravo", "ALPHA", "the is this", "123 456", "!!!", "café", "echo echo"]
+    TIMES = ["2020-01-01", "2020-01-01T00:00Z", "2020-01-02 03:04:05.6", "2019-12-31T23:59-01:00"]
+    INVALID = {"file_path": "/lead", "line": -1, "comment": "  ", "reviewer_id": "",
+               "timestamp": "2020-13-01"}
+
+    def _corpus(self, rng):
+        records = []
+        for line_no in range(1, rng.randint(0, 14) + 1):
+            fields = {
+                "change_id": f"c{rng.randint(0, 3)}", "patch_id": "p",
+                "file_path": rng.choice(self.PATHS), "line": rng.randint(0, 9),
+                "comment": rng.choice(self.COMMENTS), "reviewer_id": rng.choice(["r1", "r2", "r3"]),
+                "timestamp": rng.choice(self.TIMES), "project": "fz",
+            }
+            if rng.random() < 1 / 6:
+                bad = rng.choice(sorted(self.INVALID))
+                fields[bad] = self.INVALID[bad]
+            try:
+                records.append(parse_record_line(json.dumps(fields, ensure_ascii=False), line_no))
+            except ValidationError:
+                pass
+        return Corpus(project="fz", records=tuple(sorted(records, key=ReviewRecord.sort_key)))
+
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_parsed_corpora_evaluate_or_raise_evaluation_error(self, sampling):
+        rng = random.Random(f"fuzz/{sampling.value}")
+        evaluated = 0
+        for _ in range(150):
+            corpus = self._corpus(rng)
+            config = EvalConfig(
+                methods=compare_selections(), sampling=sampling, k_values=(1, 3),
+                test_fraction=rng.choice([0.1, 0.5, 0.9]), steps=rng.randint(1, 4),
+                rng_seed=rng.randint(0, 9),
+            )
+            try:
+                report = run_eval(corpus, config, random_table(rng))
+            except EvaluationError:
+                continue
+            evaluated += 1
+            assert len(report.rows) == 2 * len(config.methods)
+            assert all(0.0 <= row.mrr <= row.topk_accuracy <= 1.0 for row in report.rows)
+        assert evaluated >= 50

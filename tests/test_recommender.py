@@ -1,8 +1,10 @@
 """Reviewer ranking: per-method scores, aggregation, and the baseline."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +165,11 @@ class TestRecommend:
         with pytest.raises(ConfigurationError):
             recommend(make_record(), [make_record()], frozenset())
 
+    @pytest.mark.parametrize("methods", [REVFINDER, frozenset({"FP_JC"}), {MethodId.FP_JC}])
+    def test_rejects_what_is_not_a_method_set(self, methods):
+        with pytest.raises(ConfigurationError):
+            recommend(make_record(), [make_record()], methods)
+
     def test_single_method_order_matches_raw_scores(self):
         # with one method, normalization cannot reorder reviewers of a
         # one-record-each history
@@ -239,6 +246,15 @@ class TestCommentVectorCache:
         with pytest.raises(ValueError):
             values[0] = 5.0
         assert _comment_values("api broken", None, tiny_table) is values
+
+    def test_vectors_do_not_keep_their_table_alive(self):
+        table = EmbeddingTable(2, {"api": np.array([1.0, 0.0])})
+        values = _comment_values("api", None, table)
+        alive = weakref.ref(table)
+        del table
+        gc.collect()
+        assert alive() is None
+        assert values.tolist() == [1.0, 0.0]
 
 
 class TestRankSelection:
