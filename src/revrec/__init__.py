@@ -25,8 +25,6 @@ from .evaluation import (
     Sampling,
     mrr_at_k,
     run_eval,
-    run_fixed_eval,
-    run_incremental_eval,
     topk_accuracy,
     topk_hit,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "topk_accuracy",
     "mrr_at_k",
     "run_eval",
-    "run_fixed_eval",
-    "run_incremental_eval",
     "RevRecError",
     "ValidationError",
     "EmptyCorpusError",

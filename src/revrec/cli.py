@@ -129,11 +129,14 @@ def compare_selections() -> tuple:
 
 def _write_report(report, out: str) -> None:
     base = Path(out)
+    if base.name in ("", ".."):
+        raise ConfigurationError(f"--out {out!r} names a directory, not a report path")
     if base.suffix in (".csv", ".txt"):
         base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
-    txt_path = base.with_suffix(".txt")
+    # Appended, not swapped in: "exp.1" and "exp.2" must not share "exp.csv".
+    csv_path = Path(f"{base}.csv")
+    txt_path = Path(f"{base}.txt")
     csv_path.write_text(report.to_csv_text(), encoding="utf-8")
     txt_path.write_text(report.to_table_text(), encoding="utf-8")
     print(f"wrote {csv_path} and {txt_path}")

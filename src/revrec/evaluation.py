@@ -5,18 +5,20 @@ Fixed sampling holds out a seeded-random test fraction and uses everything
 else as history. Incremental sampling walks the corpus chronologically in
 near-equal chunks: at each step the tail of the current chunk is validated
 against all earlier records, and per-step metrics are averaged with equal
-weights; fixed sampling is the one-step case of the same loop. Each query
-is scored once per needed method, and each distinct selection is ranked
-once from those normalized columns. Reports are deterministic
-byte-for-byte for a given corpus and config. Evaluation runs serially;
-the ``jobs`` argument is accepted and has no effect.
+weights; fixed sampling is the one-step case of the same loop. Each
+step's history is indexed once (``recommender.History``: distinct paths,
+distinct comments, reviewer groups), each query is scored once per needed
+method against it, and each distinct selection is ranked once from those
+normalized columns. Reports are deterministic byte-for-byte for a given
+corpus and config. Evaluation runs serially; the ``jobs`` argument is
+accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -25,13 +27,13 @@ from .embedding import EmbeddingTable
 from .errors import ConfigurationError, EvaluationError
 from .recommender import (
     REVFINDER,
+    History,
     MethodSelection,
     RecommendationList,
     _is_method_set,
     rank_selection,
     recommend,
     revfinder_recommend,
-    reviewer_groups,
     selection_label,
 )
 
@@ -165,14 +167,15 @@ def _score_steps(
     configured selection, and average each metric over the steps with
     equal weights. Each query is scored once: one ``recommend`` call with
     the union of the similarity selections, and one ``revfinder_recommend``
-    call if the baseline is configured. Each step's reviewer groups are
-    built once, and each other distinct selection is ranked once per
+    call if the baseline is configured. Each step's history is wrapped in
+    one ``History``, so its distinct keys and reviewer groups are found
+    once per step, and each other distinct selection is ranked once per
     query from ``recommend``'s columns."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
     # cases[position][step]: a selection configured twice gets two groups.
     cases = [[[] for _ in steps] for _ in config.methods]
-    for step, (history, validation) in enumerate(steps):
-        groups = reviewer_groups(history)
+    for step, (records, validation) in enumerate(steps):
+        history = History(records)
         for query in validation:
             truth = frozenset(r.reviewer_id for r in validation if r.change_id == query.change_id)
             # Called through this module's ``recommend`` name: the benchmark
@@ -184,7 +187,7 @@ def _score_steps(
             for position, selection in enumerate(config.methods):
                 if selection not in ranked:
                     ranked[selection] = rank_selection(
-                        groups, scored.columns, selection, scored.query_ref)
+                        history.groups, scored.columns, selection, scored.query_ref)
                 cases[position][step].append(EvalCase(query, truth, ranked[selection]))
     rows = []
     for selection, step_cases in zip(config.methods, cases):
@@ -283,10 +286,10 @@ def run_eval(
     """Evaluate every configured method selection at every k under the
     sampling protocol that ``config`` names.
 
-    Evaluation runs serially. ``jobs`` is accepted, here and by both
-    runners, and affects neither the output nor the execution. The
-    benchmark (bench/child.py) passes it positionally, so removing it
-    needs a benchmark change; tests/test_bench_contract.py runs that path.
+    Evaluation runs serially. ``jobs`` is accepted and affects neither
+    the output nor the execution. The benchmark (bench/child.py) passes it
+    positionally, so removing it needs a benchmark change;
+    tests/test_bench_contract.py runs that path.
     """
     incremental = config.sampling is Sampling.INCREMENTAL
     split = _incremental_split if incremental else _fixed_split
@@ -304,13 +307,3 @@ def run_eval(
         "partition": partition,
     }
     return EvalReport(rows=rows, metadata=metadata)
-
-
-def run_fixed_eval(corpus: Corpus, config: EvalConfig, *args, **kwargs) -> EvalReport:
-    """``run_eval`` under fixed sampling, whatever ``config`` names."""
-    return run_eval(corpus, replace(config, sampling=Sampling.FIXED), *args, **kwargs)
-
-
-def run_incremental_eval(corpus: Corpus, config: EvalConfig, *args, **kwargs) -> EvalReport:
-    """``run_eval`` under incremental sampling, whatever ``config`` names."""
-    return run_eval(corpus, replace(config, sampling=Sampling.INCREMENTAL), *args, **kwargs)

@@ -13,10 +13,13 @@ search.
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
-Both rankers score each distinct key (``_distinct``) once per query, copy
-the float to every record that holds it, and rank reviewers with
-``_rank``: one math.fsum per ``reviewer_groups`` entry, ties by reviewer
-id. Comment vectors are cached per table and die with it.
+Both rankers wrap their history in a ``History``, which finds the distinct
+keys (``_distinct``) and the reviewer groups once, when it is built; a
+caller that ranks many queries against one history passes one
+``History``. Per query, each distinct key is scored once, the float is
+copied to every record that holds it, and reviewers are ranked with
+``_rank``: one math.fsum per reviewer group, ties by reviewer id. Comment
+vectors are cached per table and die with it.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -29,7 +32,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -139,20 +142,32 @@ def _rank(groups: Sequence[tuple[str, Sequence[int]]], column: Sequence[float]) 
     return _ranked_entries({r: math.fsum([column[i] for i in ix]) for r, ix in groups})
 
 
-def reviewer_groups(history: Sequence[ReviewRecord]) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Each reviewer of the history with the indices of its records."""
-    groups: dict[str, list[int]] = {}
-    for idx, past in enumerate(history):
-        groups.setdefault(past.reviewer_id, []).append(idx)
-    return tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
-
-
 def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewRecord], list[int]]:
     """One record per distinct value of ``field``, in first-seen order, and
     for each history record the position of its value in that list."""
     seen: dict[str, tuple[int, ReviewRecord]] = {}
     positions = [seen.setdefault(getattr(past, field), (len(seen), past))[0] for past in history]
     return [past for _, past in seen.values()], positions
+
+
+class History(tuple):
+    """A non-empty tuple of review records with what depends on them alone,
+    built once: ``keys[field]`` is ``_distinct`` of ``file_path`` and of
+    ``comment``, and ``groups`` holds each reviewer with the indices of its
+    records. ``History(h)`` returns ``h`` when it already is one."""
+
+    def __new__(cls, records: Iterable[ReviewRecord]):
+        if isinstance(records, History):
+            return records
+        self = super().__new__(cls, records)
+        if not self:
+            raise EmptyHistoryError("cannot recommend from an empty history")
+        self.keys = {field: _distinct(self, field) for field in ("file_path", "comment")}
+        groups: dict[str, list[int]] = {}
+        for idx, past in enumerate(self):
+            groups.setdefault(past.reviewer_id, []).append(idx)
+        self.groups = tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
+        return self
 
 
 def _is_method_set(selection: object) -> bool:
@@ -173,25 +188,19 @@ def recommend(
     (constant columns become all zeros) and ranked by ``rank_selection``;
     the result carries those columns for ranking sub-selections.
     """
-    if not history:
-        raise EmptyHistoryError("cannot recommend from an empty history")
+    history = History(history)
     if not _is_method_set(methods):
         raise ConfigurationError(f"expected a non-empty set of similarity methods, got {methods!r}")
 
-    keyed = {}
     columns = {}
     for m in MethodId:
         if m in methods:
             field = "file_path" if m in (MethodId.FP_JC, MethodId.FP_HD) else "comment"
-            if field not in keyed:
-                keyed[field] = _distinct(history, field)
-            holders, positions = keyed[field]
+            holders, positions = history.keys[field]
             # The extremes of the distinct scores are those of the column.
             normed = _minmax([method_score(query, past, m, table, stopwords) for past in holders])
             columns[m] = [normed[i] for i in positions]
-    return rank_selection(
-        reviewer_groups(history), columns, methods, (query.change_id, query.patch_id)
-    )
+    return rank_selection(history.groups, columns, methods, (query.change_id, query.patch_id))
 
 
 def rank_selection(
@@ -201,7 +210,7 @@ def rank_selection(
     query_ref: tuple[str, str],
 ) -> RecommendationList:
     """Average the selected columns per record and sum each reviewer's
-    group (see ``reviewer_groups``) with math.fsum, so the ranking does not
+    group (see ``History.groups``) with math.fsum, so the ranking does not
     depend on history order.
 
     The mean of one column is the column, and of two is ``(a + b) / 2``:
@@ -298,15 +307,12 @@ def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) ->
     i in a component list of n reviewers earns n - i points, so the top
     reviewer gets n and the last gets 1; final ranking is by total points.
     """
-    if not history:
-        raise EmptyHistoryError("cannot recommend from an empty history")
-
-    holders, positions = _distinct(history, "file_path")
+    history = History(history)
+    holders, positions = history.keys["file_path"]
     rows = [_path_overlap_scores(query.file_path, past.file_path) for past in holders]
-    groups = reviewer_groups(history)
     borda: dict[str, float] = {}
     for component in zip(*rows):
-        ranking = _rank(groups, [component[i] for i in positions])
+        ranking = _rank(history.groups, [component[i] for i in positions])
         n = len(ranking)
         for idx, (reviewer, _) in enumerate(ranking):
             borda[reviewer] = borda.get(reviewer, 0.0) + (n - idx)

@@ -32,8 +32,7 @@ from revrec.evaluation import (
     EvalConfig,
     Sampling,
     mrr_at_k,
-    run_fixed_eval,
-    run_incremental_eval,
+    run_eval,
     topk_accuracy,
 )
 from revrec.recommender import (
@@ -153,7 +152,7 @@ def test_oracle_equivalence():
             # both sampling protocols, every selection at once
             corpus = Corpus(project="synth", records=tuple(records))
             ks = (1, 3, 5)
-            fixed = run_fixed_eval(
+            fixed = run_eval(
                 corpus,
                 EvalConfig(methods=methods, k_values=ks, test_fraction=0.2,
                            rng_seed=trial),
@@ -168,7 +167,7 @@ def test_oracle_equivalence():
                 assert abs(row.mrr - mrr) <= 1e-12
 
             steps = 2 if n < 9 else 3
-            incremental = run_incremental_eval(
+            incremental = run_eval(
                 corpus,
                 EvalConfig(methods=methods, sampling=Sampling.INCREMENTAL,
                            k_values=ks, test_fraction=0.2, steps=steps),
@@ -198,13 +197,13 @@ def test_planted_expertise_end_to_end():
         )
         config = EvalConfig(methods=methods, k_values=(1,), test_fraction=0.10,
                             rng_seed=7)
-        report = run_fixed_eval(corpus, config)
+        report = run_eval(corpus, config)
         top1 = {row.method: row.topk_accuracy for row in report.rows}
         assert top1["FP_JC"] == 1.0
         assert top1["RC_JC"] == 1.0
         assert top1["FP_JC+FP_HD+RC_JC"] == 1.0
         assert top1["REVFINDER"] >= 0.9
-        again = run_fixed_eval(corpus, config)
+        again = run_eval(corpus, config)
         assert report.to_csv_text() == again.to_csv_text()
 
 
@@ -213,12 +212,12 @@ def test_sampling_sensitivity():
         records = sorted(late_owner_records(), key=lambda r: r.sort_key())
         corpus = Corpus(project="lateowner", records=tuple(records))
         methods = (frozenset({MethodId.FP_JC}),)
-        fixed = run_fixed_eval(
+        fixed = run_eval(
             corpus,
             EvalConfig(methods=methods, k_values=(10,), test_fraction=0.10,
                        rng_seed=0),
         )
-        incremental = run_incremental_eval(
+        incremental = run_eval(
             corpus,
             EvalConfig(methods=methods, sampling=Sampling.INCREMENTAL,
                        k_values=(10,), test_fraction=0.10, steps=4),

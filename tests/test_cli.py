@@ -271,6 +271,19 @@ class TestEvaluate:
             ))
         assert outs[0] == outs[1]
 
+    def test_dotted_out_names_keep_their_own_reports(self, synth_file, tmp_path, capsys):
+        args = ["evaluate", "--corpus", synth_file, "--methods", "FP_JC", "--k", "1"]
+        runs = tmp_path / "runs"
+        for name, seed in (("exp.1", "1"), ("exp.2", "2"), ("run.csv", "1")):
+            assert cli.main(args + ["--seed", seed, "--out", str(runs / name)]) == 0
+        assert sorted(p.name for p in runs.iterdir()) == [
+            "exp.1.csv", "exp.1.txt", "exp.2.csv", "exp.2.txt", "run.csv", "run.txt",
+        ]
+        assert "# seed=1" in (runs / "exp.1.csv").read_text()
+        assert "# seed=2" in (runs / "exp.2.csv").read_text()
+        assert cli.main(args + ["--out", str(runs / "..")]) == 1
+        assert "names a directory" in capsys.readouterr().err
+
     def test_jobs_flag_keeps_reports_identical(self, synth_file, tmp_path, capsys):
         base = [
             "evaluate", "--corpus", synth_file, "--methods", "FP_JC+FP_HD",
@@ -349,3 +362,12 @@ class TestMainPlumbing:
         assert selections[-1] == "REVFINDER"
         sizes = sorted(len(s) for s in selections[:-1])
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 4]
+
+    def test_package_exports_resolve(self):
+        import revrec
+
+        missing = [name for name in revrec.__all__ if not hasattr(revrec, name)]
+        assert not missing
+        namespace = {}
+        exec("from revrec import *", namespace)
+        assert set(revrec.__all__) <= set(namespace)

@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 import revrec.evaluation
+import revrec.recommender
 from conftest import make_record, random_records, random_table
 from revrec.cli import compare_selections
 from revrec.corpus import Corpus, ReviewRecord, parse_record_line
@@ -24,8 +25,6 @@ from revrec.evaluation import (
     incremental_chunks,
     mrr_at_k,
     run_eval,
-    run_fixed_eval,
-    run_incremental_eval,
     topk_accuracy,
     topk_hit,
 )
@@ -174,8 +173,8 @@ class TestRunFixedEval:
     def test_partition_and_determinism(self):
         corpus = self._corpus(20)
         config = EvalConfig(methods=(FP_JC,), rng_seed=7, test_fraction=0.10)
-        first = run_fixed_eval(corpus, config)
-        second = run_fixed_eval(corpus, config)
+        first = run_eval(corpus, config)
+        second = run_eval(corpus, config)
         assert first.metadata["partition"] == "history:18,test:2"
         assert first.rows == second.rows
         assert first.to_csv_text() == second.to_csv_text()
@@ -184,7 +183,7 @@ class TestRunFixedEval:
     def test_row_grid_complete(self):
         corpus = self._corpus(20)
         config = EvalConfig(methods=(FP_JC, "REVFINDER"), k_values=(1, 3), rng_seed=5)
-        report = run_fixed_eval(corpus, config)
+        report = run_eval(corpus, config)
         assert [(r.method, r.k) for r in report.rows] == [
             ("FP_JC", 1), ("FP_JC", 3), ("REVFINDER", 1), ("REVFINDER", 3),
         ]
@@ -192,7 +191,7 @@ class TestRunFixedEval:
     def test_seeds_change_partition_not_invariants(self):
         corpus = self._corpus(30, seed=2)
         reports = [
-            run_fixed_eval(corpus, EvalConfig(methods=(FP_JC,), rng_seed=s))
+            run_eval(corpus, EvalConfig(methods=(FP_JC,), rng_seed=s))
             for s in (1, 2)
         ]
         for report in reports:
@@ -205,33 +204,33 @@ class TestRunFixedEval:
 
     def test_planted_corpus_perfect_top1(self, planted_corpus):
         config = EvalConfig(methods=(FP_JC,), k_values=(1,), rng_seed=3)
-        report = run_fixed_eval(planted_corpus, config)
+        report = run_eval(planted_corpus, config)
         assert report.rows[0].topk_accuracy == 1.0
 
     def test_too_small_corpus_names_minimum(self):
         corpus = self._corpus(5)
         config = EvalConfig(methods=(FP_JC,), test_fraction=0.9)
         with pytest.raises(EvaluationError, match="at least 10"):
-            run_fixed_eval(corpus, config)
+            run_eval(corpus, config)
 
     def test_single_record_rejected(self):
         corpus = Corpus(project="t", records=(make_record(),))
         with pytest.raises(EvaluationError):
-            run_fixed_eval(corpus, EvalConfig(methods=(FP_JC,)))
+            run_eval(corpus, EvalConfig(methods=(FP_JC,)))
 
     def test_rc_cs_needs_table(self):
         corpus = self._corpus(20)
         config = EvalConfig(methods=(frozenset({MethodId.RC_CS}),))
         with pytest.raises(ConfigurationError):
-            run_fixed_eval(corpus, config)
+            run_eval(corpus, config)
 
     def test_jobs_do_not_change_report(self):
         rng = random.Random(3)
         corpus = self._corpus(24, seed=3)
         table = random_table(rng)
         config = EvalConfig(methods=(frozenset(MethodId), "REVFINDER"), rng_seed=9)
-        serial = run_fixed_eval(corpus, config, table=table, jobs=1)
-        parallel = run_fixed_eval(corpus, config, table=table, jobs=4)
+        serial = run_eval(corpus, config, table=table, jobs=1)
+        parallel = run_eval(corpus, config, table=table, jobs=4)
         assert serial.to_csv_text() == parallel.to_csv_text()
 
 
@@ -257,7 +256,7 @@ class TestRunIncrementalEval:
     def test_forty_record_partition(self, late_owner_corpus):
         config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL,
                             k_values=(10,), test_fraction=0.10, steps=4)
-        report = run_incremental_eval(late_owner_corpus, config)
+        report = run_eval(late_owner_corpus, config)
         assert report.metadata["partition"] == "step1:9/1;step2:19/1;step3:29/1;step4:39/1"
 
     def test_step_constant_metrics_average_to_one(self):
@@ -266,7 +265,7 @@ class TestRunIncrementalEval:
         corpus = Corpus(project="t", records=tuple(records))
         config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL,
                             k_values=(1, 3), steps=4)
-        report = run_incremental_eval(corpus, config)
+        report = run_eval(corpus, config)
         assert all(r.topk_accuracy == 1.0 and r.mrr == 1.0 for r in report.rows)
 
     def test_late_owner_average_strictly_between(self, late_owner_corpus):
@@ -274,7 +273,7 @@ class TestRunIncrementalEval:
         # miss, step 4 hits, so the average sits strictly inside (0, 1)
         config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL,
                             k_values=(10,), test_fraction=0.10, steps=4)
-        report = run_incremental_eval(late_owner_corpus, config)
+        report = run_eval(late_owner_corpus, config)
         assert report.rows[0].topk_accuracy == 0.25
 
     def test_not_chronological_rejected(self):
@@ -285,14 +284,14 @@ class TestRunIncrementalEval:
         corpus = Corpus(project="t", records=records)
         config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL, steps=2)
         with pytest.raises(EvaluationError, match="chronological"):
-            run_incremental_eval(corpus, config)
+            run_eval(corpus, config)
 
     def test_too_few_records(self):
         records = tuple(make_record(change_id=f"c{i}", minute=i) for i in range(7))
         corpus = Corpus(project="t", records=records)
         config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL, steps=4)
         with pytest.raises(EvaluationError, match="at least 8"):
-            run_incremental_eval(corpus, config)
+            run_eval(corpus, config)
 
     def test_no_history_before_first_validation(self):
         records = tuple(make_record(change_id=f"c{i}", minute=i) for i in range(4))
@@ -300,7 +299,7 @@ class TestRunIncrementalEval:
         config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL,
                             steps=2, test_fraction=0.9)
         with pytest.raises(EvaluationError, match="history"):
-            run_incremental_eval(corpus, config)
+            run_eval(corpus, config)
 
     def test_matches_oracle(self):
         rng = random.Random(89)
@@ -308,7 +307,7 @@ class TestRunIncrementalEval:
         corpus = Corpus(project="synth", records=tuple(records))
         config = EvalConfig(methods=(FP_JC, "REVFINDER"), sampling=Sampling.INCREMENTAL,
                             k_values=(1, 3), test_fraction=0.2, steps=3)
-        report = run_incremental_eval(corpus, config)
+        report = run_eval(corpus, config)
         want = oracle.incremental_eval(
             records, {"FP_JC": {"FP_JC"}, "REVFINDER": "REVFINDER"}, (1, 3), 0.2, 3,
             stopwords=oracle.stopword_list(),
@@ -342,6 +341,23 @@ class TestScoreOncePerQuery:
         run_eval(corpus, config, random_table(rng))
         assert calls == ([union] * self._queries(config, 40) if union else [])
 
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_each_step_history_is_indexed_once(self, monkeypatch, sampling):
+        rng = random.Random(99)
+        corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
+        calls = []
+        inner = revrec.recommender._distinct
+
+        def counting(history, field):
+            calls.append(field)
+            return inner(history, field)
+
+        monkeypatch.setattr(revrec.recommender, "_distinct", counting)
+        config = EvalConfig(methods=compare_selections(), sampling=sampling)
+        run_eval(corpus, config, random_table(rng))
+        steps = config.steps if sampling is Sampling.INCREMENTAL else 1
+        assert calls == ["file_path", "comment"] * steps
+
     @staticmethod
     def _queries(config, n):
         if config.sampling is Sampling.FIXED:
@@ -372,13 +388,15 @@ class TestScoreOncePerQuery:
 
     def test_repeated_selection_gives_identical_row_groups(self):
         corpus = Corpus(project="synth", records=tuple(random_records(random.Random(5), 30)))
-        single = run_fixed_eval(corpus, EvalConfig(methods=(FP_JC,))).rows
-        repeated = run_fixed_eval(corpus, EvalConfig(methods=(FP_JC, FP_JC))).rows
+        single = run_eval(corpus, EvalConfig(methods=(FP_JC,))).rows
+        repeated = run_eval(corpus, EvalConfig(methods=(FP_JC, FP_JC))).rows
         assert repeated == single + single
 
 
 class TestRunEvalDispatch:
     def test_sampling_selects_runner(self, late_owner_corpus):
+        keys = ["project", "sampling", "seed", "test_fraction", "k_values", "methods",
+                "records", "partition"]
         fixed = run_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)))
         incremental = run_eval(
             late_owner_corpus,
@@ -386,19 +404,8 @@ class TestRunEvalDispatch:
         )
         assert fixed.metadata["sampling"] == "fixed"
         assert incremental.metadata["sampling"] == "incremental"
-
-    def test_named_runners_force_their_sampling(self, late_owner_corpus):
-        keys = ["project", "sampling", "seed", "test_fraction", "k_values", "methods",
-                "records", "partition"]
-        incremental_config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL)
-        fixed = run_fixed_eval(late_owner_corpus, incremental_config, None, None, 2)
         assert list(fixed.metadata) == keys
-        want = run_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)))
-        assert fixed.to_csv_text() == want.to_csv_text()
-        incremental = run_incremental_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)), jobs=2)
         assert list(incremental.metadata) == keys[:4] + ["steps"] + keys[4:]
-        want = run_eval(late_owner_corpus, incremental_config)
-        assert incremental.to_csv_text() == want.to_csv_text()
 
 
 class TestReportFormats:

@@ -16,13 +16,13 @@ from revrec.embedding import EmbeddingTable
 from revrec.errors import ConfigurationError, EmptyHistoryError
 from revrec.recommender import (
     REVFINDER,
+    History,
     MethodId,
     method_score,
     parse_method_selection,
     rank_selection,
     recommend,
     revfinder_recommend,
-    reviewer_groups,
     selection_label,
 )
 from revrec.recommender import (
@@ -123,12 +123,13 @@ class TestRecommend:
         hist = random_records(rng, 8)
         q = make_record(change_id="q", file_path="core/net/modz.py",
                         comment="alpha bravo delta", project="synth")
-        got = recommend(q, hist, frozenset({MethodId.FP_JC, MethodId.RC_JC}))
         want = oracle.recommend(q, hist, {"FP_JC", "RC_JC"},
                                 stopwords=oracle.stopword_list())
-        assert [r for r, _ in got.entries] == [r for r, _ in want]
-        for (_, gs), (_, ws) in zip(got.entries, want):
-            assert abs(gs - ws) < 1e-12
+        for given in (hist, History(hist)):
+            got = recommend(q, given, frozenset({MethodId.FP_JC, MethodId.RC_JC}))
+            assert [r for r, _ in got.entries] == [r for r, _ in want]
+            for (_, gs), (_, ws) in zip(got.entries, want):
+                assert abs(gs - ws) < 1e-12
 
     def test_history_order_invariance(self):
         rng = random.Random(53)
@@ -213,13 +214,37 @@ class TestRepeatedKeys:
             base = revfinder_recommend(query, hist)
             shuffled = hist[:]
             rng.shuffle(shuffled)
-            assert recommend(query, shuffled, frozenset(MethodId), table=table).entries == got.entries
-            assert revfinder_recommend(query, shuffled).entries == base.entries
+            for given in (shuffled, History(shuffled), History(hist)):
+                assert recommend(query, given, frozenset(MethodId), table=table).entries == got.entries
+                assert revfinder_recommend(query, given).entries == base.entries
             want = oracle.recommend(query, hist, [m.value for m in MethodId], table.entries,
                                     table.dimension, oracle.stopword_list())
             assert [r for r, _ in got.entries] == [r for r, _ in want]
             assert all(abs(g - w) < 1e-12 for (_, g), (_, w) in zip(got.entries, want))
             assert list(base.entries) == oracle.revfinder(query, hist)
+
+
+class TestHistory:
+    def test_keys_groups_and_empty_history(self):
+        hist = repeated_key_history(random.Random(89))
+        history = History(hist)
+        assert history == tuple(hist)
+        assert History(history) is history
+        for field in ("file_path", "comment"):
+            holders, positions = history.keys[field]
+            values = [getattr(r, field) for r in holders]
+            assert values == list(dict.fromkeys(getattr(r, field) for r in hist))
+            assert [values[i] for i in positions] == [getattr(r, field) for r in hist]
+        groups = history.groups
+        assert sorted(i for _, ix in groups for i in ix) == list(range(len(hist)))
+        for reviewer, ix in groups:
+            assert {hist[i].reviewer_id for i in ix} == {reviewer}
+        assert len({reviewer for reviewer, _ in groups}) == len(groups)
+        # The empty history is reported before the selection is checked.
+        with pytest.raises(EmptyHistoryError):
+            recommend(make_record(), [], REVFINDER)
+        with pytest.raises(EmptyHistoryError):
+            revfinder_recommend(make_record(), [])
 
 
 class TestCommentVectorCache:
@@ -268,7 +293,7 @@ class TestRankSelection:
             assert list(union.columns) == list(MethodId)
             assert all(len(column) == len(hist) for column in union.columns.values())
             for selection in ALL_SELECTIONS:
-                ranked = rank_selection(reviewer_groups(hist), union.columns, selection, union.query_ref)
+                ranked = rank_selection(History(hist).groups, union.columns, selection, union.query_ref)
                 assert ranked.entries == recommend(query, hist, selection, table=table).entries
                 assert ranked.columns is union.columns
 
@@ -294,14 +319,6 @@ class TestRankSelection:
                 want = tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
                 got = rank_selection(tuple(groups.items()), columns, selection, ("q", "p"))
                 assert got.entries == want
-
-    def test_reviewer_groups_cover_each_record_once(self):
-        hist = random_records(random.Random(89), 25)
-        groups = reviewer_groups(hist)
-        assert sorted(i for _, ix in groups for i in ix) == list(range(len(hist)))
-        for reviewer, ix in groups:
-            assert {hist[i].reviewer_id for i in ix} == {reviewer}
-        assert len({reviewer for reviewer, _ in groups}) == len(groups)
 
     def test_recommend_carries_only_selected_columns(self):
         hist = [make_record(change_id="h", reviewer_id="r1")]
@@ -354,9 +371,9 @@ class TestRevFinder:
         for trial in range(10):
             hist = random_records(random.Random(100 + trial), 6)
             q = make_record(change_id="q", file_path="core/db/ioa.py", project="synth")
-            got = revfinder_recommend(q, hist)
             want = oracle.revfinder(q, hist)
-            assert list(got.entries) == want
+            assert list(revfinder_recommend(q, hist).entries) == want
+            assert list(revfinder_recommend(q, History(hist)).entries) == want
 
     def test_identical_paths_dominate(self):
         hist = [
