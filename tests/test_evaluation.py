@@ -395,8 +395,6 @@ class TestScoreOncePerQuery:
 
 class TestRunEvalDispatch:
     def test_sampling_selects_runner(self, late_owner_corpus):
-        keys = ["project", "sampling", "seed", "test_fraction", "k_values", "methods",
-                "records", "partition"]
         fixed = run_eval(late_owner_corpus, EvalConfig(methods=(FP_JC,)))
         incremental = run_eval(
             late_owner_corpus,
@@ -404,8 +402,22 @@ class TestRunEvalDispatch:
         )
         assert fixed.metadata["sampling"] == "fixed"
         assert incremental.metadata["sampling"] == "incremental"
+
+    def test_named_runners_force_their_sampling(self, late_owner_corpus):
+        # The sampling named in the config alone picks the runner and its
+        # metadata; the positional table, stopwords and jobs change nothing.
+        keys = ["project", "sampling", "seed", "test_fraction", "k_values", "methods",
+                "records", "partition"]
+        fixed_config = EvalConfig(methods=(FP_JC,))
+        incremental_config = EvalConfig(methods=(FP_JC,), sampling=Sampling.INCREMENTAL)
+        fixed = run_eval(late_owner_corpus, fixed_config, None, None, 2)
         assert list(fixed.metadata) == keys
+        assert fixed.to_csv_text() == run_eval(late_owner_corpus, fixed_config).to_csv_text()
+        incremental = run_eval(late_owner_corpus, incremental_config, jobs=2)
         assert list(incremental.metadata) == keys[:4] + ["steps"] + keys[4:]
+        assert incremental.to_csv_text() == run_eval(
+            late_owner_corpus, incremental_config).to_csv_text()
+        assert fixed.to_csv_text() != incremental.to_csv_text()
 
 
 class TestReportFormats:
