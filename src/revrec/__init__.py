@@ -19,14 +19,13 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    EvalCase,
     EvalConfig,
     EvalReport,
     Sampling,
+    first_correct_rank,
     mrr_at_k,
     run_eval,
     topk_accuracy,
-    topk_hit,
 )
 from .recommender import (
     REVFINDER,
@@ -65,11 +64,10 @@ __all__ = [
     "recommend",
     "revfinder_recommend",
     "parse_method_selection",
-    "EvalCase",
     "EvalConfig",
     "EvalReport",
     "Sampling",
-    "topk_hit",
+    "first_correct_rank",
     "topk_accuracy",
     "mrr_at_k",
     "run_eval",

@@ -38,8 +38,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"{WARNING_PREFIX} {message}", file=sys.stderr)
 
 
-def _load_table(args) -> EmbeddingTable | None:
-    return load_embedding_table(args.embeddings) if args.embeddings is not None else None
+def _load_table(args, selections) -> EmbeddingTable | None:
+    """The --embeddings table, read only when some selection holds RC_CS."""
+    needs_table = args.embeddings is not None and any(
+        s != REVFINDER and MethodId.RC_CS in s for s in selections)
+    return load_embedding_table(args.embeddings) if needs_table else None
 
 
 def _load_stopwords(args) -> frozenset[str] | None:
@@ -79,7 +82,7 @@ def cmd_validate(args) -> int:
 def cmd_recommend(args) -> int:
     corpus = load_corpus(args.corpus, args.project)
     selection = parse_method_selection(args.methods)
-    table = _load_table(args)
+    table = _load_table(args, (selection,))
     stopwords = _load_stopwords(args)
 
     if not args.file_path.strip():
@@ -144,7 +147,7 @@ def _write_report(report, out: str) -> None:
 
 def _run_eval_command(args, methods: tuple) -> int:
     corpus = load_corpus(args.corpus, args.project)
-    table = _load_table(args)
+    table = _load_table(args, methods)
     stopwords = _load_stopwords(args)
     config = EvalConfig(
         methods=methods,

@@ -9,18 +9,21 @@ weights; fixed sampling is the one-step case of the same loop. Each
 step's history is indexed once (``recommender.History``: distinct paths,
 distinct comments, reviewer groups), each query is scored once per needed
 method against it, and each distinct selection is ranked once from those
-normalized columns. Reports are deterministic byte-for-byte for a given
-corpus and config. Evaluation runs serially; the ``jobs`` argument is
-accepted and has no effect.
+normalized columns, then reduced within its query to the one number per
+query that ``topk_accuracy(ranks, k)`` and ``mrr_at_k(ranks, k)`` read:
+``first_correct_rank(ranking, truth) -> int | None``. Reports are
+deterministic byte-for-byte for a given corpus and config. Evaluation runs
+serially; the ``jobs`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .corpus import Corpus, ReviewRecord
 from .embedding import EmbeddingTable
@@ -72,17 +75,6 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class EvalCase:
-    """One evaluated query: the record, the reviewers that actually
-    reviewed its change within the test partition, and the ranking
-    produced without the query in the history."""
-
-    query: ReviewRecord
-    truth: frozenset[str]
-    recommendation: RecommendationList
-
-
-@dataclass(frozen=True)
 class ReportRow:
     method: str
     k: int
@@ -124,37 +116,49 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def first_correct_rank(case: EvalCase) -> int | None:
+def first_correct_rank(ranking: RecommendationList, truth: Collection[str]) -> int | None:
     """1-based rank of the first truth reviewer in the ranking, or None."""
-    for rank, (reviewer, _) in enumerate(case.recommendation.entries, start=1):
-        if reviewer in case.truth:
+    for rank, (reviewer, _) in enumerate(ranking.entries, start=1):
+        if reviewer in truth:
             return rank
     return None
 
 
-def topk_hit(case: EvalCase, k: int) -> int:
-    """1 iff some truth reviewer appears in the first min(k, len) entries."""
-    rank = first_correct_rank(case)
-    return 1 if rank is not None and rank <= k else 0
+def topk_accuracy(ranks: Sequence[int | None], k: int) -> float:
+    """Share of first correct ranks that are at most k."""
+    if not ranks:
+        raise EvaluationError("no queries to score")
+    return sum(rank is not None and rank <= k for rank in ranks) / len(ranks)
 
 
-def topk_accuracy(cases: Sequence[EvalCase], k: int) -> float:
-    if not cases:
-        raise EvaluationError("no cases to score")
-    return sum(topk_hit(case, k) for case in cases) / len(cases)
-
-
-def mrr_at_k(cases: Sequence[EvalCase], k: int) -> float:
-    """Mean reciprocal rank of the first correct reviewer, truncated at k:
-    a case whose first correct rank exceeds k (or has none) contributes 0."""
-    if not cases:
-        raise EvaluationError("no cases to score")
+def mrr_at_k(ranks: Sequence[int | None], k: int) -> float:
+    """Mean reciprocal first correct rank, truncated at k: a query whose
+    first correct rank exceeds k (or is None) contributes 0."""
+    if not ranks:
+        raise EvaluationError("no queries to score")
     total = 0.0
-    for case in cases:
-        rank = first_correct_rank(case)
+    for rank in ranks:
         if rank is not None and rank <= k:
             total += 1.0 / rank
-    return total / len(cases)
+    return total / len(ranks)
+
+
+def _query_ranks(query, truth, history, methods, union, table, stopwords) -> list[int | None]:
+    """Each configured selection's first correct rank for one query. The
+    query is scored once for the similarity selections' union and once by
+    REVFINDER if configured; each other selection is ranked once from the
+    union's columns. No ranking outlives the call."""
+    # Called through this module's ``recommend`` name: the benchmark
+    # (bench/child.py) wraps ``evaluation.recommend`` to time these
+    # calls, and tests/test_bench_contract.py fails when it times none.
+    scored = recommend(query, history, union, table, stopwords) if union else None
+    baseline = revfinder_recommend(query, history) if REVFINDER in methods else None
+    ranked = {union: scored, REVFINDER: baseline}
+    for selection in methods:
+        if selection not in ranked:
+            ranked[selection] = rank_selection(
+                history.groups, scored.columns, selection, scored.query_ref)
+    return [first_correct_rank(ranked[selection], truth) for selection in methods]
 
 
 def _score_steps(
@@ -163,37 +167,27 @@ def _score_steps(
     table: EmbeddingTable | None,
     stopwords: frozenset[str] | None,
 ) -> tuple[ReportRow, ...]:
-    """Rank every query of every (history, validation) step with every
-    configured selection, and average each metric over the steps with
-    equal weights. Each query is scored once: one ``recommend`` call with
-    the union of the similarity selections, and one ``revfinder_recommend``
-    call if the baseline is configured. Each step's history is wrapped in
-    one ``History``, so its distinct keys and reviewer groups are found
-    once per step, and each other distinct selection is ranked once per
-    query from ``recommend``'s columns."""
+    """Reduce every query of every (history, validation) step to each
+    configured selection's first correct rank, and average each metric
+    over the steps with equal weights. A step's ``History`` (distinct keys,
+    reviewer groups) and truth sets (each change's reviewers within the
+    validation set) are built once."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
-    # cases[position][step]: a selection configured twice gets two groups.
-    cases = [[[] for _ in steps] for _ in config.methods]
-    for step, (records, validation) in enumerate(steps):
+    ranks = []  # ranks[step][query][position]
+    for records, validation in steps:
         history = History(records)
-        for query in validation:
-            truth = frozenset(r.reviewer_id for r in validation if r.change_id == query.change_id)
-            # Called through this module's ``recommend`` name: the benchmark
-            # (bench/child.py) wraps ``evaluation.recommend`` to time these
-            # calls, and tests/test_bench_contract.py fails when it times none.
-            scored = recommend(query, history, union, table, stopwords) if union else None
-            baseline = revfinder_recommend(query, history) if REVFINDER in config.methods else None
-            ranked = {union: scored, REVFINDER: baseline}
-            for position, selection in enumerate(config.methods):
-                if selection not in ranked:
-                    ranked[selection] = rank_selection(
-                        history.groups, scored.columns, selection, scored.query_ref)
-                cases[position][step].append(EvalCase(query, truth, ranked[selection]))
+        truths: dict[str, set[str]] = {}
+        for record in validation:
+            truths.setdefault(record.change_id, set()).add(record.reviewer_id)
+        ranks.append([_query_ranks(query, truths[query.change_id], history, config.methods,
+                                   union, table, stopwords) for query in validation])
     rows = []
-    for selection, step_cases in zip(config.methods, cases):
+    for position, selection in enumerate(config.methods):
+        # A selection configured twice gets two row groups.
+        step_ranks = [[query_ranks[position] for query_ranks in step] for step in ranks]
         for k in config.k_values:
-            acc = math.fsum(topk_accuracy(cases, k) for cases in step_cases) / len(steps)
-            mrr = math.fsum(mrr_at_k(cases, k) for cases in step_cases) / len(steps)
+            acc = math.fsum(topk_accuracy(r, k) for r in step_ranks) / len(steps)
+            mrr = math.fsum(mrr_at_k(r, k) for r in step_ranks) / len(steps)
             rows.append(
                 ReportRow(method=selection_label(selection), k=k, topk_accuracy=acc, mrr=mrr)
             )
@@ -208,10 +202,11 @@ def fixed_test_indices(n: int, test_fraction: float, rng_seed: int) -> list[int]
 
 
 def _min_fixed_corpus_size(test_fraction: float) -> int:
-    n = 2
-    while n - math.ceil(test_fraction * n) < 1:
-        n += 1
-    return n
+    """Smallest n >= 2 with n - ceil(f * n) >= 1, which leaves a history.
+    The test is monotone in n and holds at ceil(1 / (1 - f)) + 1; near
+    f = 1, rounding in f * n puts the minimum far below that, so bisect."""
+    sizes = range(2, math.ceil(1 / (1 - test_fraction)) + 2)
+    return sizes[bisect_left(sizes, True, key=lambda n: n - math.ceil(test_fraction * n) >= 1)]
 
 
 def _fixed_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple[list, str]:

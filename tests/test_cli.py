@@ -2,7 +2,11 @@
 determinism of written reports."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from conftest import late_owner_records, planted_records, random_records, random
 from revrec import cli
 from revrec.corpus import Corpus, save_corpus
 from revrec.embedding import save_embedding_table
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOOD = {
     "change_id": "I1", "patch_id": "3", "file_path": "nova/db/api.py",
@@ -189,6 +195,13 @@ class TestRecommend:
         assert code == 1
         assert "revrec: error:" in capsys.readouterr().err
 
+    def test_missing_embeddings_unread_without_rc_cs(self, planted_file, tmp_path, capsys):
+        args = ["recommend", "--corpus", planted_file, "--file-path", "a/b.py",
+                "--comment", "x", "--embeddings", str(tmp_path / "missing.txt")]
+        assert cli.main(args + ["--methods", "FP_JC+RC_JC"]) == 0
+        assert cli.main(args + ["--methods", "REVFINDER"]) == 0
+        assert cli.main(args + ["--methods", "FP_JC+RC_CS"]) == 2
+
     def test_rc_cs_without_embeddings(self, planted_file, capsys):
         code = cli.main([
             "recommend", "--corpus", planted_file,
@@ -308,6 +321,34 @@ class TestEvaluate:
         ])
         assert code == 0
 
+    def test_embeddings_read_only_for_rc_cs(self, synth_file, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        code = cli.main([
+            "evaluate", "--corpus", synth_file, "--methods", "FP_JC,REVFINDER",
+            "--embeddings", missing, "--k", "1",
+        ])
+        assert code == 0
+        code = cli.main([
+            "evaluate", "--corpus", synth_file, "--methods", "FP_JC,RC_CS",
+            "--embeddings", missing, "--k", "1",
+        ])
+        assert code == 2
+
+    def test_near_one_test_fraction_fails_fast(self, tmp_path):
+        # The minimum corpus size is bisected, not found by counting up to
+        # about 1 / (1 - f).
+        path = tmp_path / "big.jsonl"
+        records = tuple(random_records(random.Random(8), 1000))
+        save_corpus(Corpus(project="synth", records=records), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "revrec.cli", "evaluate", "--corpus", str(path),
+             "--methods", "FP_JC", "--test-fraction", "0.9999999999"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 1
+        assert "needs at least 9999989636" in proc.stderr
+
     def test_multi_project_requires_choice(self, tmp_path, capsys):
         path = tmp_path / "multi.jsonl"
         lines = []
@@ -344,6 +385,12 @@ class TestCompare:
         assert "REVFINDER" in methods
         assert "FP_JC+FP_HD+RC_CS+RC_JC" in methods
         assert len(methods) == 16
+
+    def test_always_reads_embeddings(self, synth_file, tmp_path, capsys):
+        code = cli.main([
+            "compare", "--corpus", synth_file, "--embeddings", str(tmp_path / "missing.txt"),
+        ])
+        assert code == 2
 
 
 class TestMainPlumbing:

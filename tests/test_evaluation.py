@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -15,31 +16,31 @@ from revrec.corpus import Corpus, ReviewRecord, parse_record_line
 from revrec.errors import ConfigurationError, EvaluationError, ValidationError
 from revrec.evaluation import (
     DEFAULT_K_VALUES,
-    EvalCase,
     EvalConfig,
     EvalReport,
     ReportRow,
     Sampling,
+    _min_fixed_corpus_size,
     first_correct_rank,
     fixed_test_indices,
     incremental_chunks,
     mrr_at_k,
     run_eval,
     topk_accuracy,
-    topk_hit,
 )
 from revrec.recommender import MethodId, RecommendationList
 
 FP_JC = frozenset({MethodId.FP_JC})
 
 
-def case(truth, ranked):
+def ranking(ranked):
     entries = tuple((rid, float(len(ranked) - i)) for i, rid in enumerate(ranked))
-    return EvalCase(
-        query=make_record(),
-        truth=frozenset(truth),
-        recommendation=RecommendationList(entries=entries, query_ref=("q", "p")),
-    )
+    return RecommendationList(entries=entries, query_ref=("q", "p"))
+
+
+def case(truth, ranked):
+    """The first correct rank of one query: what the metrics reduce over."""
+    return first_correct_rank(ranking(ranked), frozenset(truth))
 
 
 def random_case_set(rng, n_cases):
@@ -53,20 +54,21 @@ def random_case_set(rng, n_cases):
 
 
 class TestTopkHit:
+    # One query's hit is top-k accuracy over that query alone.
     def test_rank_one_hit(self):
-        assert topk_hit(case({"a"}, ["a", "b", "c"]), 1) == 1
+        assert topk_accuracy([case({"a"}, ["a", "b", "c"])], 1) == 1
 
     def test_absent_reviewer(self):
-        assert topk_hit(case({"z"}, ["a", "b", "c"]), 10) == 0
+        assert topk_accuracy([case({"z"}, ["a", "b", "c"])], 10) == 0
 
     def test_position_boundary(self):
         c = case({"b"}, ["a", "b", "c"])
-        assert topk_hit(c, 1) == 0
-        assert topk_hit(c, 3) == 1
+        assert topk_accuracy([c], 1) == 0
+        assert topk_accuracy([c], 3) == 1
 
     def test_first_correct_rank(self):
-        assert first_correct_rank(case({"b", "c"}, ["a", "b", "c"])) == 2
-        assert first_correct_rank(case({"z"}, ["a"])) is None
+        assert first_correct_rank(ranking(["a", "b", "c"]), {"b", "c"}) == 2
+        assert first_correct_rank(ranking(["a"]), {"z"}) is None
 
 
 class TestTopkAccuracy:
@@ -212,6 +214,20 @@ class TestRunFixedEval:
         config = EvalConfig(methods=(FP_JC,), test_fraction=0.9)
         with pytest.raises(EvaluationError, match="at least 10"):
             run_eval(corpus, config)
+
+    def test_minimum_corpus_size_matches_brute_force(self):
+        # The smallest n >= 2 with n - ceil(f * n) >= 1, found by counting up.
+        fractions = [i / 1000 for i in range(1, 1000)] + [0.1, 0.3, 0.7, 0.9, 0.99, 0.999]
+        for f in fractions:
+            n = 2
+            while n - math.ceil(f * n) < 1:
+                n += 1
+            assert _min_fixed_corpus_size(f) == n, f
+        # Near 1, where counting up is too slow: the minimum leaves a
+        # history and one record fewer does not.
+        for f in [0.99999999, 0.9999999999, 1 - 1e-12, 1 - 2**-40, 1 - 2**-53]:
+            n = _min_fixed_corpus_size(f)
+            assert n - math.ceil(f * n) >= 1 > n - 1 - math.ceil(f * (n - 1)), f
 
     def test_single_record_rejected(self):
         corpus = Corpus(project="t", records=(make_record(),))
@@ -385,6 +401,47 @@ class TestScoreOncePerQuery:
         monkeypatch.undo()
         assert counted == run_eval(corpus, config)
         assert calls == [FP_JC, fp_hd] * self._queries(config, 40)
+
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_no_ranking_outlives_its_query(self, monkeypatch, sampling):
+        rng = random.Random(96)
+        corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
+        made = []  # (query, weak reference to a ranking made for it)
+        for name in ("recommend", "revfinder_recommend"):
+            inner = getattr(revrec.evaluation, name)
+
+            def tracking(query, *args, inner=inner, **kwargs):
+                alive = [q for q, ref in made if q is not query and ref() is not None]
+                assert not alive, f"{len(alive)} rankings of earlier queries are alive"
+                ranking = inner(query, *args, **kwargs)
+                made.append((query, weakref.ref(ranking)))
+                return ranking
+
+            monkeypatch.setattr(revrec.evaluation, name, tracking)
+        config = EvalConfig(methods=compare_selections(), sampling=sampling)
+        run_eval(corpus, config, random_table(rng))
+        assert len(made) == 2 * self._queries(config, 40)
+        assert all(ref() is None for _, ref in made)
+
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_metrics_are_called_once_per_selection_k_and_step(self, monkeypatch, sampling):
+        # The benchmark times evaluation.metrics through these two names.
+        rng = random.Random(95)
+        corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
+        calls = {"topk_accuracy": 0, "mrr_at_k": 0}
+        for name in calls:
+            inner = getattr(revrec.evaluation, name)
+
+            def counting(ranks, k, name=name, inner=inner):
+                calls[name] += 1
+                return inner(ranks, k)
+
+            monkeypatch.setattr(revrec.evaluation, name, counting)
+        config = EvalConfig(methods=compare_selections(), sampling=sampling, k_values=(1, 3, 5))
+        run_eval(corpus, config, random_table(rng))
+        steps = config.steps if sampling is Sampling.INCREMENTAL else 1
+        want = len(config.methods) * len(config.k_values) * steps
+        assert calls == {"topk_accuracy": want, "mrr_at_k": want}
 
     def test_repeated_selection_gives_identical_row_groups(self):
         corpus = Corpus(project="synth", records=tuple(random_records(random.Random(5), 30)))
