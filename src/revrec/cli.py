@@ -99,9 +99,13 @@ def cmd_recommend(args) -> int:
         timestamp=datetime.fromtimestamp(0, tz=timezone.utc),
         project=corpus.project,
     )
-    if selection != REVFINDER and (MethodId.RC_CS in selection or MethodId.RC_JC in selection):
-        if not preprocess_comment(args.comment, stopwords):
-            warnings.warn("query comment has no usable tokens; comment-based scores are all zero")
+    if selection != REVFINDER and not preprocess_comment(args.comment, stopwords):
+        effects = [text for method, text in (
+            (MethodId.RC_CS, "RC_CS scores are all zero"),
+            (MethodId.RC_JC, "RC_JC matches only history comments that have none either"),
+        ) if method in selection]
+        if effects:
+            warnings.warn("query comment has no usable tokens; " + "; ".join(effects))
 
     if selection == REVFINDER:
         ranking = revfinder_recommend(query, corpus.records)

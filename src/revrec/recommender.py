@@ -16,8 +16,12 @@ path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
 Both rankers wrap their history in a ``History``, which finds the distinct
 keys (``_distinct``) and the reviewer groups once, when it is built; a
 caller that ranks many queries against one history passes one
-``History``. Per query, each distinct key is scored once, the float is
-copied to every record that holds it, and reviewers are ranked with
+``History``. On a method's first use a ``History`` also builds that
+method's features of its distinct keys (token postings, padded code
+points or stacked comment vectors, see ``similarity``) and keeps them, so
+``recommend`` scores each method as one array pass per query, with the
+same doubles as ``method_score``, normalizes the distinct scores and
+copies each to every record that holds its key. Reviewers are ranked with
 ``_rank``: one math.fsum per reviewer group, ties by reviewer id. Comment
 vectors are cached per table and die with it.
 
@@ -39,7 +43,14 @@ import numpy as np
 from .corpus import ReviewRecord
 from .embedding import EmbeddingTable, comment_vector
 from .errors import ConfigurationError, EmptyHistoryError
-from .similarity import adapted_hamming_similarity, cosine, jaccard
+from .similarity import (
+    PathCodes,
+    TokenPostings,
+    VectorRows,
+    adapted_hamming_similarity,
+    cosine,
+    jaccard,
+)
 from .textprep import preprocess_comment, tokenize_path
 
 
@@ -99,6 +110,15 @@ class RecommendationList:
         return self.entries[:n]
 
 
+# The record field each method scores.
+_FIELD = {
+    MethodId.FP_JC: "file_path",
+    MethodId.FP_HD: "file_path",
+    MethodId.RC_CS: "comment",
+    MethodId.RC_JC: "comment",
+}
+
+
 def method_score(
     query: ReviewRecord,
     past: ReviewRecord,
@@ -106,7 +126,8 @@ def method_score(
     table: EmbeddingTable | None = None,
     stopwords: frozenset[str] | None = None,
 ) -> float:
-    """Similarity of one past record to the query under one method."""
+    """Similarity of one past record to the query under one method: the
+    scalar reference that ``History.scores`` equals key by key."""
     if method is MethodId.FP_JC:
         return jaccard(tokenize_path(query.file_path), tokenize_path(past.file_path))
     if method is MethodId.FP_HD:
@@ -124,13 +145,6 @@ def method_score(
             _comment_values(past.comment, stopwords, table),
         )
     raise ConfigurationError(f"unknown method {method!r}")
-
-
-def _minmax(scores: list[float]) -> list[float]:
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return [0.0] * len(scores)
-    return [(s - lo) / (hi - lo) for s in scores]
 
 
 def _ranked_entries(totals: dict[str, float]) -> tuple[tuple[str, float], ...]:
@@ -153,8 +167,16 @@ def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewR
 class History(tuple):
     """A non-empty tuple of review records with what depends on them alone,
     built once: ``keys[field]`` is ``_distinct`` of ``file_path`` and of
-    ``comment``, and ``groups`` holds each reviewer with the indices of its
-    records. ``History(h)`` returns ``h`` when it already is one."""
+    ``comment``, ``positions[field]`` is its record positions as an index
+    array, and ``groups`` holds each reviewer with the indices of its
+    records. ``History(h)`` returns ``h`` when it already is one.
+
+    Each method's features of the distinct keys are built on its first
+    ``scores`` call and kept: comment features per stop-word list, comment
+    vectors per table (the table object itself is the key). Until then a
+    key that a method cannot score raises nothing, so a history whose
+    paths have no tokens still serves the comment methods. Two threads
+    that race on a first use both build, and either equal result is kept."""
 
     def __new__(cls, records: Iterable[ReviewRecord]):
         if isinstance(records, History):
@@ -163,11 +185,47 @@ class History(tuple):
         if not self:
             raise EmptyHistoryError("cannot recommend from an empty history")
         self.keys = {field: _distinct(self, field) for field in ("file_path", "comment")}
+        self.positions = {f: np.array(ix, dtype=np.intp) for f, (_, ix) in self.keys.items()}
+        self.features = {}
         groups: dict[str, list[int]] = {}
         for idx, past in enumerate(self):
             groups.setdefault(past.reviewer_id, []).append(idx)
         self.groups = tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
         return self
+
+    def _built(self, key, field: str, build):
+        """``build`` of the distinct ``field`` values, made once per ``key``."""
+        features = self.features.get(key)
+        if features is None:
+            values = [getattr(past, field) for past in self.keys[field][0]]
+            features = self.features[key] = build(values)
+        return features
+
+    def scores(
+        self,
+        query: ReviewRecord,
+        method: MethodId,
+        table: EmbeddingTable | None = None,
+        stopwords: frozenset[str] | None = None,
+    ) -> np.ndarray:
+        """``method_score(query, past, method, table, stopwords)`` for one
+        ``past`` per distinct key of the method's field, in ``keys`` order,
+        as the same doubles, from one array pass."""
+        field = _FIELD[method]
+        if method is MethodId.FP_JC:
+            index = self._built(method, field, lambda paths: TokenPostings(map(tokenize_path, paths)))
+            return index.jaccard(tokenize_path(query.file_path))
+        if method is MethodId.FP_HD:
+            return self._built(method, field, PathCodes).adapted_hamming(query.file_path)
+        if method is MethodId.RC_JC:
+            index = self._built((method, stopwords), field, lambda comments: TokenPostings(
+                preprocess_comment(comment, stopwords) for comment in comments))
+            return index.jaccard(preprocess_comment(query.comment, stopwords))
+        if table is None:
+            raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
+        rows = self._built((method, table, stopwords), field, lambda comments: VectorRows(
+            [_comment_values(comment, stopwords, table) for comment in comments]))
+        return rows.cosine(_comment_values(query.comment, stopwords, table))
 
 
 def _is_method_set(selection: object) -> bool:
@@ -195,11 +253,11 @@ def recommend(
     columns = {}
     for m in MethodId:
         if m in methods:
-            field = "file_path" if m in (MethodId.FP_JC, MethodId.FP_HD) else "comment"
-            holders, positions = history.keys[field]
+            scores = history.scores(query, m, table, stopwords)
             # The extremes of the distinct scores are those of the column.
-            normed = _minmax([method_score(query, past, m, table, stopwords) for past in holders])
-            columns[m] = [normed[i] for i in positions]
+            lo, hi = scores.min(), scores.max()
+            normed = np.zeros(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
+            columns[m] = normed[history.positions[_FIELD[m]]].tolist()
     return rank_selection(history.groups, columns, methods, (query.change_id, query.patch_id))
 
 

@@ -1,13 +1,20 @@
 """Similarity kernels: Jaccard coefficient, adapted Hamming path similarity,
 and cosine similarity.
 
-All kernels are symmetric and return a float in [0, 1].
+All kernels are symmetric and return a float in [0, 1]. Each also has a
+batched form that scores one query against many keys in one array pass:
+``TokenPostings.jaccard``, ``PathCodes.adapted_hamming`` and
+``VectorRows.cosine``. A batched score is the same double as the scalar
+kernel's on that pair: the integer counts are exact, int64 / int64
+divides like Python's int / int, and ``cosine`` sums with ``np.sum``,
+whose pairwise sum of a row alone equals that row's sum in an axis-1
+reduction.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +30,38 @@ def jaccard(x: Collection[str], y: Collection[str]) -> float:
     return len(xs & ys) / union
 
 
+class TokenPostings:
+    """Many token sets, indexed by token for Jaccard against one query set:
+    ``postings[token]`` holds the positions of the sets that contain it."""
+
+    def __init__(self, token_sets: Iterable[Collection[str]]):
+        postings: dict[str, list[int]] = {}
+        sizes = []
+        for position, tokens in enumerate(token_sets):
+            tokens = set(tokens)
+            sizes.append(len(tokens))
+            for token in tokens:
+                postings.setdefault(token, []).append(position)
+        self.postings = {token: np.array(ix, dtype=np.intp) for token, ix in postings.items()}
+        self.sizes = np.array(sizes, dtype=np.int64)
+
+    def jaccard(self, query: Collection[str]) -> np.ndarray:
+        """``jaccard(query, s)`` for every indexed set ``s``."""
+        tokens = set(query)
+        if not tokens:
+            # Two empty sets score 1.0, as in ``jaccard``.
+            return np.where(self.sizes == 0, 1.0, 0.0)
+        hits = [self.postings[token] for token in tokens if token in self.postings]
+        n = len(self.sizes)
+        inter = np.bincount(np.concatenate(hits), minlength=n) if hits else np.zeros(n, np.int64)
+        return inter / (self.sizes + len(tokens) - inter)
+
+
+def _require_paths(*paths: str) -> None:
+    if not all(paths):
+        raise ValidationError("paths must be non-empty", field="file_path")
+
+
 def adapted_hamming_similarity(p: str, q: str) -> float:
     """Path similarity from character mismatches plus length difference.
 
@@ -32,13 +71,41 @@ def adapted_hamming_similarity(p: str, q: str) -> float:
     (e.g. one substitution, equal lengths); that collision is inherent
     to the formula and kept as-is.
     """
-    if not p or not q:
-        raise ValidationError("paths must be non-empty", field="file_path")
+    _require_paths(p, q)
     if p == q:
         return 1.0
     mismatches = sum(a != b for a, b in zip(p, q))
     d = mismatches + abs(len(p) - len(q))
     return 1.0 / d
+
+
+def _code_points(path: str) -> np.ndarray:
+    return np.fromiter(map(ord, path), dtype=np.int32, count=len(path))
+
+
+class PathCodes:
+    """Many paths as rows of code points padded with -1, for adapted
+    Hamming against one query path."""
+
+    def __init__(self, paths: Sequence[str]):
+        _require_paths(*paths)
+        self.codes = np.full((len(paths), max(map(len, paths))), -1, dtype=np.int32)
+        for row, path in zip(self.codes, paths):
+            row[:len(path)] = _code_points(path)
+
+    def adapted_hamming(self, path: str) -> np.ndarray:
+        """``adapted_hamming_similarity(path, p)`` for every indexed path ``p``."""
+        _require_paths(path)
+        width = self.codes.shape[1]
+        query = np.full(width, -1, dtype=np.int32)
+        query[:len(path)] = _code_points(path[:width])
+        # Padding never equals a code point, so two padded rows differ at
+        # the mismatches over the shorter length and at every position of
+        # the longer path past it; query characters past ``width`` differ
+        # from every row.
+        d = np.count_nonzero(self.codes != query, axis=1) + max(len(path) - width, 0)
+        # d is 0 exactly for identical paths, which score 1.0.
+        return 1.0 / np.maximum(d, 1)
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
@@ -51,14 +118,39 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValidationError(f"vector length mismatch: {u.shape} vs {v.shape}")
-    # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)); spelling it
-    # out gives the same double without its dispatch.
-    nu = math.sqrt(float(u.dot(u)))
-    nv = math.sqrt(float(v.dot(v)))
+    # np.sum, not u.dot: ``VectorRows.cosine`` reduces along rows with
+    # np.sum, and the two forms differ in the last bit.
+    nu = math.sqrt(float(np.sum(u * u)))
+    nv = math.sqrt(float(np.sum(v * v)))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if np.array_equal(u, v):
         # identity must score exactly 1; dot/norm rounding can land below
         return 1.0
-    value = float(np.dot(u, v)) / (nu * nv)
+    value = float(np.sum(u * v)) / (nu * nv)
     return min(1.0, max(0.0, value))
+
+
+class VectorRows:
+    """Many vectors stacked as the rows of one matrix, with their norms,
+    for cosine against one query vector."""
+
+    def __init__(self, vectors: Sequence[np.ndarray]):
+        self.rows = np.array(vectors, dtype=float)
+        self.norms = np.sqrt(np.sum(self.rows * self.rows, axis=1))
+
+    def cosine(self, u: np.ndarray) -> np.ndarray:
+        """``cosine(u, row)`` for every row, with the same rules in the same
+        order: a zero norm scores 0, a row equal to u scores 1.0, and any
+        other value is clamped to [0, 1]."""
+        u = np.asarray(u, dtype=float)
+        nu = math.sqrt(float(np.sum(u * u)))
+        if nu == 0.0:
+            return np.zeros(len(self.rows))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.sum(self.rows * u, axis=1) / (nu * self.norms)
+        # min(1.0, max(0.0, value)), NaN included
+        scores = np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
+        scores[np.all(self.rows == u, axis=1)] = 1.0
+        scores[self.norms == 0.0] = 0.0
+        return scores

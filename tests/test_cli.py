@@ -6,15 +6,17 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import oracle
-from conftest import late_owner_records, planted_records, random_records, random_table
+from conftest import late_owner_records, make_record, planted_records, random_records, random_table
 from revrec import cli
 from revrec.corpus import Corpus, save_corpus
-from revrec.embedding import save_embedding_table
+from revrec.embedding import load_embedding_table, save_embedding_table
+from revrec.recommender import parse_method_selection, recommend
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,6 +178,39 @@ class TestRecommend:
         scores = {line.split("\t")[2] for line in lines}
         assert reviewers == sorted(reviewers)
         assert scores == {"0.000000"}
+
+    @pytest.mark.parametrize("methods, effects", [
+        ("RC_JC", ["RC_JC matches only history comments that have none either"]),
+        ("FP_JC+RC_CS+RC_JC", ["RC_CS scores are all zero",
+                               "RC_JC matches only history comments that have none either"]),
+    ])
+    def test_tokenless_query_comment_warning_is_true(self, tmp_path, vectors_file, capsys,
+                                                     methods, effects):
+        # "42 !!" passes validate but has no usable tokens, so RC_JC scores
+        # it 1.0 against the tokenless query comment "the 7".
+        records = sorted(planted_records(), key=lambda r: r.sort_key())
+        records.append(replace(records[-1], change_id="odd", comment="42 !!", reviewer_id="carol"))
+        corpus = Corpus(project="planted", records=tuple(records))
+        path = tmp_path / "odd.jsonl"
+        save_corpus(corpus, path)
+        args = ["recommend", "--corpus", str(path), "--file-path", "net/socket/linkaa.py",
+                "--comment", "the 7", "--methods", methods, "--embeddings", vectors_file]
+        assert cli.main(["validate", "--corpus", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        warning = "query comment has no usable tokens; " + "; ".join(effects)
+        assert captured.err == f"revrec: warning: {warning}\n"
+        query = make_record(change_id="query", patch_id="query", file_path="net/socket/linkaa.py",
+                            comment="the 7", project="planted")
+        ranking = recommend(query, corpus.records, parse_method_selection(methods),
+                            load_embedding_table(vectors_file))
+        assert captured.out.splitlines() == [
+            f"{rank}\t{reviewer}\t{score:.6f}"
+            for rank, (reviewer, score) in enumerate(ranking.top(10), start=1)
+        ]
+        if methods == "RC_JC":
+            assert captured.out.splitlines()[0] == "1\tcarol\t1.000000"
 
     def test_revfinder_selection(self, planted_file, capsys):
         code = cli.main([

@@ -374,6 +374,28 @@ class TestScoreOncePerQuery:
         steps = config.steps if sampling is Sampling.INCREMENTAL else 1
         assert calls == ["file_path", "comment"] * steps
 
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_each_method_is_one_array_pass_over_features_built_once_per_step(
+            self, monkeypatch, sampling):
+        # FP_JC and RC_JC build TokenPostings, FP_HD PathCodes and RC_CS
+        # VectorRows; no score goes through the per-pair method_score.
+        rng = random.Random(94)
+        corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
+        calls = {"method_score": 0, "TokenPostings": 0, "PathCodes": 0, "VectorRows": 0}
+        for name in calls:
+            inner = getattr(revrec.recommender, name)
+
+            def counting(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(revrec.recommender, name, counting)
+        config = EvalConfig(methods=compare_selections(), sampling=sampling)
+        run_eval(corpus, config, random_table(rng))
+        steps = config.steps if sampling is Sampling.INCREMENTAL else 1
+        assert calls == {"method_score": 0, "TokenPostings": 2 * steps,
+                         "PathCodes": steps, "VectorRows": steps}
+
     @staticmethod
     def _queries(config, n):
         if config.sampling is Sampling.FIXED:

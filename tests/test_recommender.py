@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import make_record, random_records, random_table
+from conftest import SYNTH_VOCAB, make_record, random_records, random_table
 from revrec.embedding import EmbeddingTable
-from revrec.errors import ConfigurationError, EmptyHistoryError
+from revrec.errors import ConfigurationError, EmptyHistoryError, ValidationError
 from revrec.recommender import (
     REVFINDER,
     History,
@@ -245,6 +245,110 @@ class TestHistory:
             recommend(make_record(), [], REVFINDER)
         with pytest.raises(EmptyHistoryError):
             revfinder_recommend(make_record(), [])
+
+
+def float_table(rng, dimension):
+    """Vectors of mixed magnitudes for most of the synthetic vocabulary, so
+    that dots and norms round in their last bit."""
+    entries = {
+        word: np.array([rng.gauss(0, 1) * 10.0 ** rng.uniform(-5, 5) for _ in range(dimension)])
+        for word in rng.sample(SYNTH_VOCAB, 7)
+    }
+    return EmbeddingTable(dimension=dimension, entries=entries)
+
+
+def edge_history(rng):
+    """A random history plus comments that preprocess to nothing, all-OOV
+    and repeated comments, and paths with astral and accented characters."""
+    hist = random_records(rng, rng.randint(1, 30))
+    extras = [
+        ("core/é/ü.py", "42 !!"), ("core/é/ü.py", "the is this"),
+        ("net/\U0001d518\U0001f600/x.py", "zulu yankee"), ("ui/ñ/a.rs", "zulu yankee"),
+        ("db/x.py", hist[0].comment), ("api/\U0001f600.cpp", "alpha 7 the"),
+    ]
+    for i, (path, comment) in enumerate(rng.sample(extras, rng.randint(0, len(extras)))):
+        hist.append(make_record(change_id=f"e{i}", file_path=path, comment=comment,
+                                reviewer_id=f"rev{rng.choice('abz')}", project="synth"))
+    rng.shuffle(hist)
+    return hist
+
+
+class TestBatchedScores:
+    def test_columns_equal_method_score_bit_for_bit(self):
+        rng = random.Random(113)
+        columns = 0
+        for trial in range(80):
+            hist = edge_history(rng)
+            history = History(hist)
+            table = float_table(rng, rng.randint(1, 60)) if trial % 2 else random_table(rng)
+            stopwords = rng.choice([None, frozenset({"alpha", "the"})])
+            longest = max(len(r.file_path) for r in hist)
+            queries = [
+                rng.choice(hist),  # its own record is in the history
+                make_record(change_id="q", file_path="a" * (longest + 3), comment="42 !!"),
+                make_record(change_id="q", file_path="c", comment="zulu"),
+                make_record(change_id="q", file_path="net/\U0001d518/é.py",
+                            comment=rng.choice(hist).comment),
+                random_records(rng, 1)[0],
+            ]
+            for query in queries:
+                for method in MethodId:
+                    field = "file_path" if method.value.startswith("FP") else "comment"
+                    holders, _ = history.keys[field]
+                    want = [method_score(query, past, method, table, stopwords) for past in holders]
+                    got = history.scores(query, method, table, stopwords).tolist()
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (method, query)
+                    columns += 1
+        assert columns == 1600
+
+    @pytest.mark.parametrize("path, failing", [
+        ("__", {MethodId.FP_JC}),  # no path tokens
+        ("", {MethodId.FP_JC, MethodId.FP_HD}),
+    ])
+    def test_errors_match_method_score_and_wait_for_first_use(self, tiny_table, path, failing):
+        query = make_record(change_id="q", file_path="a/b.py", comment="api broken")
+        bad = make_record(change_id="b", file_path=path, comment="api layer")
+        history = History([make_record(), bad])
+        for method in MethodId:
+            if method in failing:
+                with pytest.raises(ValidationError) as want:
+                    method_score(query, bad, method, tiny_table)
+                with pytest.raises(ValidationError) as got:
+                    recommend(query, history, frozenset({method}), tiny_table)
+                assert str(got.value) == str(want.value)
+                assert method not in history.features
+            else:  # the comment methods never read the paths
+                method_score(query, bad, method, tiny_table)
+                recommend(query, history, frozenset({method}), tiny_table)
+
+    def test_query_errors_match_method_score(self):
+        query = make_record(change_id="q", file_path="")
+        for method in (MethodId.FP_JC, MethodId.FP_HD):
+            with pytest.raises(ValidationError) as want:
+                method_score(query, make_record(), method)
+            with pytest.raises(ValidationError) as got:
+                recommend(query, [make_record()], frozenset({method}))
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ConfigurationError, match="--embeddings"):
+            recommend(query, [make_record()], frozenset({MethodId.RC_CS}))
+
+    def test_features_are_built_once_per_method_stopwords_and_table(self):
+        hist = repeated_key_history(random.Random(127))
+        history = History(hist)
+        query = hist[3]
+        # Same words, so equal as data; but each table is its own key.
+        first = random_table(random.Random(5))
+        second = EmbeddingTable(first.dimension, dict(first.entries))
+        stop = frozenset({"alpha"})
+        for _ in range(2):
+            for table, stopwords in ((first, None), (second, None), (first, stop)):
+                recommend(query, history, frozenset(MethodId), table, stopwords)
+        assert len(history.features) == 2 + 2 + 3  # FP_JC, FP_HD; RC_JC x 2; RC_CS x 3
+        built = dict(history.features)
+        recommend(query, history, frozenset(MethodId), first, stop)
+        assert all(history.features[key] is built[key] for key in built)
+        assert all(isinstance(key[1], EmbeddingTable)
+                    for key in built if isinstance(key, tuple) and key[0] is MethodId.RC_CS)
 
 
 class TestCommentVectorCache:

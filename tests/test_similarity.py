@@ -122,16 +122,28 @@ class TestCosine:
             scale = rng.uniform(0.1, 50.0)
             assert cosine(u * scale, v) == pytest.approx(s, abs=1e-9)
 
-    def test_norm_is_sqrt_of_self_dot(self):
-        # cosine spells np.linalg.norm out as sqrt(u.dot(u)); ties between
-        # reviewers depend on the last bit, so a numpy that changes either
-        # side must fail here.
+    def test_sums_are_np_sums_of_products(self):
+        # cosine takes its dot and norms as np.sum of elementwise products,
+        # the form VectorRows.cosine reduces row by row; ties between
+        # reviewers depend on the last bit, so a numpy that changes that
+        # form (u.dot differs from it) must fail here.
         rng = np.random.default_rng(23)
         for _ in range(2000):
             dim = int(rng.integers(3, 301))
             scale = 10.0 ** rng.uniform(-5, 5)
             u = rng.normal(size=dim) * scale
             v = rng.normal(size=dim) * scale
-            assert math.sqrt(float(u.dot(u))) == float(np.linalg.norm(u))
-            norms = float(np.linalg.norm(u)) * float(np.linalg.norm(v))
-            assert cosine(u, v) == min(1.0, max(0.0, float(np.dot(u, v)) / norms))
+            norms = math.sqrt(float(np.sum(u * u))) * math.sqrt(float(np.sum(v * v)))
+            assert cosine(u, v) == min(1.0, max(0.0, float(np.sum(u * v)) / norms))
+
+    def test_axis_sum_equals_row_sum(self):
+        # VectorRows.cosine sums all rows in one axis-1 reduction and cosine
+        # sums one row alone; both must give the same double, so a numpy
+        # that changes either reduction must fail here.
+        rng = np.random.default_rng(29)
+        for dim in range(1, 401):
+            scale = 10.0 ** rng.uniform(-5, 5, size=(8, 1))
+            rows = rng.normal(size=(8, dim)) * scale
+            u = rng.normal(size=dim) * 10.0 ** rng.uniform(-5, 5)
+            for matrix in (rows * u, rows * rows):
+                assert np.sum(matrix, axis=1).tolist() == [float(np.sum(row)) for row in matrix]
