@@ -5,12 +5,12 @@ Fixed sampling holds out a seeded-random test fraction and uses everything
 else as history. Incremental sampling walks the corpus chronologically in
 near-equal chunks: at each step the tail of the current chunk is validated
 against all earlier records, and per-step metrics are averaged with equal
-weights; fixed sampling is the one-step case of the same loop. Each
-step's history is indexed once (``recommender.History``: distinct paths,
-distinct comments, reviewer groups), each query is scored once per needed
-method against it, and each distinct selection is ranked once from those
-normalized columns, then reduced within its query to the one number per
-query that ``topk_accuracy(ranks, k)`` and ``mrr_at_k(ranks, k)`` read:
+weights; fixed sampling is the one-step case of the same loop. Every
+step's history is a ``prefix`` of one ``recommender.History`` per run,
+whose features are built once. Each query is scored once per needed
+method, and each distinct selection is ranked once from those normalized
+columns, then reduced within its query to the one number per query that
+``topk_accuracy(ranks, k)`` and ``mrr_at_k(ranks, k)`` read:
 ``first_correct_rank(ranking, truth) -> int | None``. Reports are
 deterministic byte-for-byte for a given corpus and config. Evaluation runs
 serially; the ``jobs`` argument is accepted and has no effect.
@@ -31,6 +31,7 @@ from .errors import ConfigurationError, EvaluationError
 from .recommender import (
     REVFINDER,
     History,
+    MethodId,
     MethodSelection,
     RecommendationList,
     _is_method_set,
@@ -163,19 +164,22 @@ def _query_ranks(query, truth, history, methods, union, table, stopwords) -> lis
 
 def _score_steps(
     config: EvalConfig,
-    steps: Sequence[tuple[Sequence[ReviewRecord], Sequence[ReviewRecord]]],
+    records: Sequence[ReviewRecord],
+    steps: Sequence[tuple[int, Sequence[ReviewRecord]]],
     table: EmbeddingTable | None,
     stopwords: frozenset[str] | None,
 ) -> tuple[ReportRow, ...]:
-    """Reduce every query of every (history, validation) step to each
-    configured selection's first correct rank, and average each metric
-    over the steps with equal weights. A step's ``History`` (distinct keys,
-    reviewer groups) and truth sets (each change's reviewers within the
-    validation set) are built once."""
+    """Reduce every query of every (m, validation) step to each configured
+    selection's first correct rank against the first m ``records``, and
+    average each metric over the steps with equal weights. The union's
+    features are built once, before the first query."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
+    whole = History(records)
+    for method in filter(union.__contains__, MethodId):
+        whole.feature(method, table, stopwords)
     ranks = []  # ranks[step][query][position]
-    for records, validation in steps:
-        history = History(records)
+    for m, validation in steps:
+        history = whole.prefix(m)
         truths: dict[str, set[str]] = {}
         for record in validation:
             truths.setdefault(record.change_id, set()).add(record.reviewer_id)
@@ -209,9 +213,9 @@ def _min_fixed_corpus_size(test_fraction: float) -> int:
     return sizes[bisect_left(sizes, True, key=lambda n: n - math.ceil(test_fraction * n) >= 1)]
 
 
-def _fixed_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple[list, str]:
+def _fixed_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple:
     """Hold out a seeded-random test fraction as the one validation set,
-    with every remaining record as its history."""
+    with every remaining record, ordered before it, as its history."""
     n = len(records)
     minimum = _min_fixed_corpus_size(config.test_fraction)
     if n < minimum:
@@ -223,7 +227,7 @@ def _fixed_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple[l
     test_set = set(test_idx)
     test = [records[i] for i in test_idx]
     history = [r for i, r in enumerate(records) if i not in test_set]
-    return [(history, test)], f"history:{len(history)},test:{len(test)}"
+    return history + test, [(len(history), test)], f"history:{len(history)},test:{len(test)}"
 
 
 def incremental_chunks(n: int, steps: int) -> list[tuple[int, int]]:
@@ -239,7 +243,7 @@ def incremental_chunks(n: int, steps: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _incremental_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple[list, str]:
+def _incremental_split(records: Sequence[ReviewRecord], config: EvalConfig) -> tuple:
     """Chronological growing window: the corpus splits into ``steps``
     contiguous chunks, and at step i the final ceil(test_fraction *
     chunk_size) records of chunk i are validated against every record
@@ -263,12 +267,11 @@ def _incremental_split(records: Sequence[ReviewRecord], config: EvalConfig) -> t
                 f"step covering records [{start}, {end}) leaves no history "
                 f"before its validation set"
             )
-        steps.append((records[:val_start], records[val_start:end]))
+        steps.append((val_start, records[val_start:end]))
     partition = ";".join(
-        f"step{i + 1}:{len(history)}/{len(validation)}"
-        for i, (history, validation) in enumerate(steps)
+        f"step{i + 1}:{m}/{len(validation)}" for i, (m, validation) in enumerate(steps)
     )
-    return steps, partition
+    return records, steps, partition
 
 
 def run_eval(
@@ -288,8 +291,8 @@ def run_eval(
     """
     incremental = config.sampling is Sampling.INCREMENTAL
     split = _incremental_split if incremental else _fixed_split
-    steps, partition = split(corpus.records, config)
-    rows = _score_steps(config, steps, table, stopwords)
+    records, steps, partition = split(corpus.records, config)
+    rows = _score_steps(config, records, steps, table, stopwords)
     metadata = {
         "project": corpus.project,
         "sampling": config.sampling.value,

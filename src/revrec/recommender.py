@@ -13,17 +13,14 @@ search.
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
-Both rankers wrap their history in a ``History``, which finds the distinct
-keys (``_distinct``) and the reviewer groups once, when it is built; a
-caller that ranks many queries against one history passes one
-``History``. On a method's first use a ``History`` also builds that
-method's features of its distinct keys (token postings, padded code
-points or stacked comment vectors, see ``similarity``) and keeps them, so
+Both rankers take their history as a ``History``: the records with their
+distinct keys, reviewer groups and, from each method's first use, that
+method's features of the distinct keys (see ``similarity``), so that
 ``recommend`` scores each method as one array pass per query, with the
-same doubles as ``method_score``, normalizes the distinct scores and
-copies each to every record that holds its key. Reviewers are ranked with
-``_rank``: one math.fsum per reviewer group, ties by reviewer id. Comment
-vectors are cached per table and die with it.
+same doubles as ``method_score``. ``History.prefix`` cuts all of these
+from a longer history instead of building them again. Reviewers are
+ranked with ``_rank``: one math.fsum per reviewer group, ties by
+reviewer id.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -32,7 +29,7 @@ order, so callers may evaluate many queries concurrently.
 from __future__ import annotations
 
 import math
-import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -119,6 +116,22 @@ _FIELD = {
 }
 
 
+def _compared(method, record, table, stopwords):
+    """What ``method`` compares of a record: its path's token set (FP_JC),
+    its path (FP_HD), its comment's tokens (RC_JC) or vector (RC_CS)."""
+    if method is MethodId.FP_JC:
+        return tokenize_path(record.file_path)
+    if method is MethodId.FP_HD:
+        return record.file_path
+    if method is MethodId.RC_JC:
+        return preprocess_comment(record.comment, stopwords)
+    if method is not MethodId.RC_CS:
+        raise ConfigurationError(f"unknown method {method!r}")
+    if table is None:
+        raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
+    return comment_vector(preprocess_comment(record.comment, stopwords), table).values
+
+
 def method_score(
     query: ReviewRecord,
     past: ReviewRecord,
@@ -128,23 +141,10 @@ def method_score(
 ) -> float:
     """Similarity of one past record to the query under one method: the
     scalar reference that ``History.scores`` equals key by key."""
-    if method is MethodId.FP_JC:
-        return jaccard(tokenize_path(query.file_path), tokenize_path(past.file_path))
+    q, p = (_compared(method, record, table, stopwords) for record in (query, past))
     if method is MethodId.FP_HD:
-        return adapted_hamming_similarity(query.file_path, past.file_path)
-    if method is MethodId.RC_JC:
-        return jaccard(
-            set(preprocess_comment(query.comment, stopwords)),
-            set(preprocess_comment(past.comment, stopwords)),
-        )
-    if method is MethodId.RC_CS:
-        if table is None:
-            raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
-        return cosine(
-            _comment_values(query.comment, stopwords, table),
-            _comment_values(past.comment, stopwords, table),
-        )
-    raise ConfigurationError(f"unknown method {method!r}")
+        return adapted_hamming_similarity(q, p)
+    return cosine(q, p) if method is MethodId.RC_CS else jaccard(q, p)
 
 
 def _ranked_entries(totals: dict[str, float]) -> tuple[tuple[str, float], ...]:
@@ -171,8 +171,8 @@ class History(tuple):
     array, and ``groups`` holds each reviewer with the indices of its
     records. ``History(h)`` returns ``h`` when it already is one.
 
-    Each method's features of the distinct keys are built on its first
-    ``scores`` call and kept: comment features per stop-word list, comment
+    ``feature`` builds a method's features of the distinct keys on first
+    use and keeps them: comment features per stop-word list, comment
     vectors per table (the table object itself is the key). Until then a
     key that a method cannot score raises nothing, so a history whose
     paths have no tokens still serves the comment methods. Two threads
@@ -193,13 +193,35 @@ class History(tuple):
         self.groups = tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
         return self
 
-    def _built(self, key, field: str, build):
-        """``build`` of the distinct ``field`` values, made once per ``key``."""
-        features = self.features.get(key)
-        if features is None:
-            values = [getattr(past, field) for past in self.keys[field][0]]
-            features = self.features[key] = build(values)
-        return features
+    def prefix(self, m: int) -> History:
+        """The History of the first ``m`` records, cut from this one's: a
+        prefix's distinct keys in first-seen order are this one's first K,
+        and it scores with this one's features so far over their first K."""
+        if m < 1:
+            raise EmptyHistoryError("cannot recommend from an empty history")
+        part = tuple.__new__(History, self[:m])
+        part.positions = {f: ix[:m] for f, ix in self.positions.items()}
+        part.keys = {f: (h[:part.positions[f].max() + 1], ix[:m]) for f, (h, ix) in self.keys.items()}
+        part.features = dict(self.features)
+        part.groups = tuple((r, ix[:bisect_left(ix, m)]) for r, ix in self.groups if ix[0] < m)
+        return part
+
+    def feature(
+        self,
+        method: MethodId,
+        table: EmbeddingTable | None = None,
+        stopwords: frozenset[str] | None = None,
+    ) -> TokenPostings | PathCodes | VectorRows:
+        """``method``'s features of the distinct keys of its field: token
+        postings, padded code points or comment vectors (see ``similarity``)."""
+        key = {MethodId.RC_JC: (method, stopwords),
+               MethodId.RC_CS: (method, table, stopwords)}.get(method, method)
+        built = self.features.get(key)
+        if built is None:
+            kind = {MethodId.FP_HD: PathCodes, MethodId.RC_CS: VectorRows}.get(method, TokenPostings)
+            holders = self.keys[_FIELD[method]][0]
+            built = self.features[key] = kind([_compared(method, r, table, stopwords) for r in holders])
+        return built
 
     def scores(
         self,
@@ -210,22 +232,12 @@ class History(tuple):
     ) -> np.ndarray:
         """``method_score(query, past, method, table, stopwords)`` for one
         ``past`` per distinct key of the method's field, in ``keys`` order,
-        as the same doubles, from one array pass."""
-        field = _FIELD[method]
-        if method is MethodId.FP_JC:
-            index = self._built(method, field, lambda paths: TokenPostings(map(tokenize_path, paths)))
-            return index.jaccard(tokenize_path(query.file_path))
+        as the same doubles, from one array pass over ``feature``."""
+        built = self.feature(method, table, stopwords)
+        compared, n = _compared(method, query, table, stopwords), len(self.keys[_FIELD[method]][0])
         if method is MethodId.FP_HD:
-            return self._built(method, field, PathCodes).adapted_hamming(query.file_path)
-        if method is MethodId.RC_JC:
-            index = self._built((method, stopwords), field, lambda comments: TokenPostings(
-                preprocess_comment(comment, stopwords) for comment in comments))
-            return index.jaccard(preprocess_comment(query.comment, stopwords))
-        if table is None:
-            raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
-        rows = self._built((method, table, stopwords), field, lambda comments: VectorRows(
-            [_comment_values(comment, stopwords, table) for comment in comments]))
-        return rows.cosine(_comment_values(query.comment, stopwords, table))
+            return built.adapted_hamming(compared, n)
+        return (built.cosine if method is MethodId.RC_CS else built.jaccard)(compared, n)
 
 
 def _is_method_set(selection: object) -> bool:
@@ -321,26 +333,6 @@ def _lcsubseq_len(p: str, q: str) -> int:
         u = v & masks.get(a, 0)
         v = ((v + u) | (v - u)) & full
     return len(q) - v.bit_count()
-
-
-_comment_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _comment_values(
-    comment: str, stopwords: frozenset[str] | None, table: EmbeddingTable
-) -> np.ndarray:
-    """A comment's vector, read-only. Each table (by identity) holds its
-    own memo of at most 65,536 vectors, emptied when full; no vector
-    references its table, so the memo dies with the table."""
-    memo = _comment_memo.setdefault(table, {})
-    values = memo.get((comment, stopwords))
-    if values is None:
-        values = comment_vector(preprocess_comment(comment, stopwords), table).values
-        values.flags.writeable = False
-        if len(memo) >= 65536:
-            memo.clear()  # one C call, so concurrent callers need no lock
-        memo[comment, stopwords] = values
-    return values
 
 
 @lru_cache(maxsize=65536)

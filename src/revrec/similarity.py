@@ -8,7 +8,8 @@ batched form that scores one query against many keys in one array pass:
 kernel's on that pair: the integer counts are exact, int64 / int64
 divides like Python's int / int, and ``cosine`` sums with ``np.sum``,
 whose pairwise sum of a row alone equals that row's sum in an axis-1
-reduction.
+reduction. Given ``n``, a batched form scores only its first ``n`` keys,
+as the same doubles as an index of those keys alone would.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def jaccard(x: Collection[str], y: Collection[str]) -> float:
 
 class TokenPostings:
     """Many token sets, indexed by token for Jaccard against one query set:
-    ``postings[token]`` holds the positions of the sets that contain it."""
+    ``postings[token]`` holds the ascending positions of the sets that
+    contain it, so the first ``n`` sets' positions are a prefix of it."""
 
     def __init__(self, token_sets: Iterable[Collection[str]]):
         postings: dict[str, list[int]] = {}
@@ -45,16 +47,17 @@ class TokenPostings:
         self.postings = {token: np.array(ix, dtype=np.intp) for token, ix in postings.items()}
         self.sizes = np.array(sizes, dtype=np.int64)
 
-    def jaccard(self, query: Collection[str]) -> np.ndarray:
-        """``jaccard(query, s)`` for every indexed set ``s``."""
+    def jaccard(self, query: Collection[str], n: int) -> np.ndarray:
+        """``jaccard(query, s)`` for each of the first ``n`` indexed sets ``s``."""
+        sizes = self.sizes[:n]
         tokens = set(query)
         if not tokens:
             # Two empty sets score 1.0, as in ``jaccard``.
-            return np.where(self.sizes == 0, 1.0, 0.0)
-        hits = [self.postings[token] for token in tokens if token in self.postings]
-        n = len(self.sizes)
+            return np.where(sizes == 0, 1.0, 0.0)
+        n = len(sizes)
+        hits = [ix[:ix.searchsorted(n)] for ix in map(self.postings.get, tokens) if ix is not None]
         inter = np.bincount(np.concatenate(hits), minlength=n) if hits else np.zeros(n, np.int64)
-        return inter / (self.sizes + len(tokens) - inter)
+        return inter / (sizes + len(tokens) - inter)
 
 
 def _require_paths(*paths: str) -> None:
@@ -93,17 +96,18 @@ class PathCodes:
         for row, path in zip(self.codes, paths):
             row[:len(path)] = _code_points(path)
 
-    def adapted_hamming(self, path: str) -> np.ndarray:
-        """``adapted_hamming_similarity(path, p)`` for every indexed path ``p``."""
+    def adapted_hamming(self, path: str, n: int) -> np.ndarray:
+        """``adapted_hamming_similarity(path, p)`` for each of the first ``n`` paths ``p``."""
         _require_paths(path)
-        width = self.codes.shape[1]
+        codes = self.codes[:n]
+        width = codes.shape[1]
         query = np.full(width, -1, dtype=np.int32)
         query[:len(path)] = _code_points(path[:width])
         # Padding never equals a code point, so two padded rows differ at
         # the mismatches over the shorter length and at every position of
         # the longer path past it; query characters past ``width`` differ
         # from every row.
-        d = np.count_nonzero(self.codes != query, axis=1) + max(len(path) - width, 0)
+        d = np.count_nonzero(codes != query, axis=1) + max(len(path) - width, 0)
         # d is 0 exactly for identical paths, which score 1.0.
         return 1.0 / np.maximum(d, 1)
 
@@ -139,18 +143,19 @@ class VectorRows:
         self.rows = np.array(vectors, dtype=float)
         self.norms = np.sqrt(np.sum(self.rows * self.rows, axis=1))
 
-    def cosine(self, u: np.ndarray) -> np.ndarray:
-        """``cosine(u, row)`` for every row, with the same rules in the same
-        order: a zero norm scores 0, a row equal to u scores 1.0, and any
-        other value is clamped to [0, 1]."""
+    def cosine(self, u: np.ndarray, n: int) -> np.ndarray:
+        """``cosine(u, row)`` for each of the first ``n`` rows, with the same
+        rules in the same order: a zero norm scores 0, a row equal to u
+        scores 1.0, and any other value is clamped to [0, 1]."""
+        rows, norms = self.rows[:n], self.norms[:n]
         u = np.asarray(u, dtype=float)
         nu = math.sqrt(float(np.sum(u * u)))
         if nu == 0.0:
-            return np.zeros(len(self.rows))
+            return np.zeros(len(rows))
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.sum(self.rows * u, axis=1) / (nu * self.norms)
+            value = np.sum(rows * u, axis=1) / (nu * norms)
         # min(1.0, max(0.0, value)), NaN included
         scores = np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
-        scores[np.all(self.rows == u, axis=1)] = 1.0
-        scores[self.norms == 0.0] = 0.0
+        scores[np.all(rows == u, axis=1)] = 1.0
+        scores[norms == 0.0] = 0.0
         return scores

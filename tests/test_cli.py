@@ -421,6 +421,30 @@ class TestCompare:
         assert "FP_JC+FP_HD+RC_CS+RC_JC" in methods
         assert len(methods) == 16
 
+    @pytest.mark.parametrize("sampling", ["fixed", "incremental"])
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path, sampling):
+        # PYTHONHASHSEED changes every str hash, and with it the iteration
+        # order of str-keyed sets, and of dicts filled from them.
+        corpus_path = tmp_path / "synth.jsonl"
+        records = tuple(random_records(random.Random(12), 120))
+        save_corpus(Corpus(project="synth", records=records), corpus_path)
+        vectors_path = tmp_path / "vectors.txt"
+        save_embedding_table(random_table(random.Random(13)), vectors_path)
+        reports = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "revrec.cli", "compare", "--corpus", str(corpus_path),
+                 "--embeddings", str(vectors_path), "--sampling", sampling, "--seed", "7",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out.with_suffix(".csv").read_bytes(),
+                            out.with_suffix(".txt").read_bytes()))
+        assert reports[0] == reports[1]
+
     def test_always_reads_embeddings(self, synth_file, tmp_path, capsys):
         code = cli.main([
             "compare", "--corpus", synth_file, "--embeddings", str(tmp_path / "missing.txt"),

@@ -358,7 +358,8 @@ class TestScoreOncePerQuery:
         assert calls == ([union] * self._queries(config, 40) if union else [])
 
     @pytest.mark.parametrize("sampling", list(Sampling))
-    def test_each_step_history_is_indexed_once(self, monkeypatch, sampling):
+    def test_each_run_is_indexed_once(self, monkeypatch, sampling):
+        # Each step's history is a prefix view of one History of the run.
         rng = random.Random(99)
         corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
         calls = []
@@ -371,11 +372,10 @@ class TestScoreOncePerQuery:
         monkeypatch.setattr(revrec.recommender, "_distinct", counting)
         config = EvalConfig(methods=compare_selections(), sampling=sampling)
         run_eval(corpus, config, random_table(rng))
-        steps = config.steps if sampling is Sampling.INCREMENTAL else 1
-        assert calls == ["file_path", "comment"] * steps
+        assert calls == ["file_path", "comment"]
 
     @pytest.mark.parametrize("sampling", list(Sampling))
-    def test_each_method_is_one_array_pass_over_features_built_once_per_step(
+    def test_each_method_is_one_array_pass_over_features_built_once_per_run(
             self, monkeypatch, sampling):
         # FP_JC and RC_JC build TokenPostings, FP_HD PathCodes and RC_CS
         # VectorRows; no score goes through the per-pair method_score.
@@ -392,9 +392,7 @@ class TestScoreOncePerQuery:
             monkeypatch.setattr(revrec.recommender, name, counting)
         config = EvalConfig(methods=compare_selections(), sampling=sampling)
         run_eval(corpus, config, random_table(rng))
-        steps = config.steps if sampling is Sampling.INCREMENTAL else 1
-        assert calls == {"method_score": 0, "TokenPostings": 2 * steps,
-                         "PathCodes": steps, "VectorRows": steps}
+        assert calls == {"method_score": 0, "TokenPostings": 2, "PathCodes": 1, "VectorRows": 1}
 
     @staticmethod
     def _queries(config, n):

@@ -1,19 +1,21 @@
 """Reviewer ranking: per-method scores, aggregation, and the baseline."""
 
-import gc
 import itertools
 import math
 import random
-import weakref
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
 import oracle
-from conftest import SYNTH_VOCAB, make_record, random_records, random_table
+import revrec.evaluation
+from conftest import BASE_TIME, SYNTH_VOCAB, make_record, random_records, random_table
+from revrec.corpus import Corpus
 from revrec.embedding import EmbeddingTable
 from revrec.errors import ConfigurationError, EmptyHistoryError, ValidationError
+from revrec.evaluation import EvalConfig, Sampling, fixed_test_indices, run_eval
 from revrec.recommender import (
     REVFINDER,
     History,
@@ -26,7 +28,7 @@ from revrec.recommender import (
     selection_label,
 )
 from revrec.recommender import (
-    _comment_values,
+    _FIELD,
     _lcsubseq_len,
     _lcsubstr_len,
     _path_overlap_scores,
@@ -351,6 +353,67 @@ class TestBatchedScores:
                     for key in built if isinstance(key, tuple) and key[0] is MethodId.RC_CS)
 
 
+class TestPrefixViews:
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_step_scores_equal_a_fresh_history_bit_for_bit(self, monkeypatch, sampling):
+        # Every step of run_eval scores against whole.prefix(m), whose keys,
+        # groups and features are cut from one History of the run.
+        rng = random.Random(131)
+        seen = {"strict cut": 0, "postings past the cut": 0, "query between widths": 0}
+        for trial in range(24):
+            hist = edge_history(rng) + random_records(rng, 12)
+            # A path wider than every other, at a position that fixed
+            # sampling tests, so that the whole's PathCodes are wider than
+            # some step's paths.
+            long_path = "w/" * rng.randint(20, 40) + "z.py"
+            hist.insert(rng.choice(fixed_test_indices(len(hist) + 1, 0.10, 0)), make_record(
+                change_id="long", file_path=long_path, comment="zulu alpha", reviewer_id="revz"))
+            hist = [replace(r, timestamp=BASE_TIME + timedelta(minutes=i))
+                    for i, r in enumerate(hist)]
+            table = float_table(rng, rng.randint(1, 60)) if trial % 2 else random_table(rng)
+            stopwords = rng.choice([None, frozenset({"alpha", "the"})])
+            wholes, steps = [], {}
+            prefix, recommend_inner = History.prefix, revrec.evaluation.recommend
+
+            def taking_prefix(whole, m):
+                wholes.append(whole)
+                return prefix(whole, m)
+
+            def capturing(query, history, *args, **kwargs):
+                steps.setdefault(id(history), (history, []))[1].append(query)
+                return recommend_inner(query, history, *args, **kwargs)
+
+            monkeypatch.setattr(History, "prefix", taking_prefix)
+            monkeypatch.setattr(revrec.evaluation, "recommend", capturing)
+            config = EvalConfig(methods=(frozenset(MethodId),), sampling=sampling)
+            run_eval(Corpus(project="synth", records=tuple(hist)), config, table, stopwords)
+            monkeypatch.undo()
+            assert len(steps) == len(wholes) == (config.steps if sampling is Sampling.INCREMENTAL else 1)
+            whole = wholes[0]
+            assert all(w is whole for w in wholes)
+            for step, queries in steps.values():
+                fresh = History(tuple(step))
+                assert step.keys == fresh.keys and step.groups == fresh.groups
+                for field in ("file_path", "comment"):
+                    assert step.positions[field].tolist() == fresh.positions[field].tolist()
+                    seen["strict cut"] += len(step.keys[field][0]) < len(whole.keys[field][0])
+                for method in (MethodId.FP_JC, MethodId.RC_JC):
+                    postings = step.features[method if method is MethodId.FP_JC else (method, stopwords)]
+                    n = len(step.keys[_FIELD[method]][0])
+                    seen["postings past the cut"] += any(
+                        ix[0] < n <= ix[-1] for ix in postings.postings.values())
+                longest = max(len(r.file_path) for r in step)
+                if longest + 1 < step.features[MethodId.FP_HD].codes.shape[1]:
+                    seen["query between widths"] += 1
+                    queries = queries + [make_record(change_id="q", file_path="a" * (longest + 1))]
+                for query in queries:
+                    for method in MethodId:
+                        got = step.scores(query, method, table, stopwords).tolist()
+                        want = fresh.scores(query, method, table, stopwords).tolist()
+                        assert [x.hex() for x in got] == [x.hex() for x in want], (method, query)
+        assert all(seen.values()), seen
+
+
 class TestCommentVectorCache:
     def test_tables_never_share_an_entry(self):
         # Same words, different vectors: a cache keyed on the comment
@@ -368,22 +431,6 @@ class TestCommentVectorCache:
         p = make_record(comment="broken")
         assert method_score(q, p, MethodId.RC_CS, tiny_table) < 1.0
         assert method_score(q, p, MethodId.RC_CS, tiny_table, frozenset({"api"})) == 1.0
-
-    def test_cached_vectors_are_read_only(self, tiny_table):
-        values = _comment_values("api broken", None, tiny_table)
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 5.0
-        assert _comment_values("api broken", None, tiny_table) is values
-
-    def test_vectors_do_not_keep_their_table_alive(self):
-        table = EmbeddingTable(2, {"api": np.array([1.0, 0.0])})
-        values = _comment_values("api", None, table)
-        alive = weakref.ref(table)
-        del table
-        gc.collect()
-        assert alive() is None
-        assert values.tolist() == [1.0, 0.0]
 
 
 class TestRankSelection:
