@@ -7,13 +7,17 @@ near-equal chunks: at each step the tail of the current chunk is validated
 against all earlier records, and per-step metrics are averaged with equal
 weights; fixed sampling is the one-step case of the same loop. Every
 step's history is a ``prefix`` of one ``recommender.History`` per run,
-whose features are built once. Each query is scored once per needed
-method, and each distinct selection is ranked once from those normalized
-columns, then reduced within its query to the one number per query that
-``topk_accuracy(ranks, k)`` and ``mrr_at_k(ranks, k)`` read:
-``first_correct_rank(ranking, truth) -> int | None``. Reports are
-deterministic byte-for-byte for a given corpus and config. Evaluation runs
-serially; the ``jobs`` argument is accepted and has no effect.
+whose features (REVFINDER's included) are built once. Each query is
+scored once per needed method by one ``recommend`` call for the union of
+the similarity selections, and once by REVFINDER. Each is reduced within
+its query to the one number per query that ``topk_accuracy(ranks, k)``
+and ``mrr_at_k(ranks, k)`` read: ``first_correct_rank(ranking, truth) ->
+int | None``. Every other similarity selection gets that number from
+``SubSelections``, which bounds all reviewers' sums at once from count
+matrices and sums exactly only where the bounds cannot decide, with no
+ranking made. Reports are deterministic byte-for-byte for a given corpus
+and config. Evaluation runs serially; the ``jobs`` argument is accepted
+and has no effect.
 """
 
 from __future__ import annotations
@@ -25,17 +29,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Sequence
 
+import numpy as np
+
 from .corpus import Corpus, ReviewRecord
 from .embedding import EmbeddingTable
 from .errors import ConfigurationError, EvaluationError
 from .recommender import (
+    _FIELD,
     REVFINDER,
     History,
     MethodId,
     MethodSelection,
     RecommendationList,
     _is_method_set,
-    rank_selection,
+    _mean,
     recommend,
     revfinder_recommend,
     selection_label,
@@ -144,22 +151,136 @@ def mrr_at_k(ranks: Sequence[int | None], k: int) -> float:
     return total / len(ranks)
 
 
-def _query_ranks(query, truth, history, methods, union, table, stopwords) -> list[int | None]:
+# A unit roundoff and a bound on one rounding's error below the normal
+# range (half the spacing of subnormals, 2**-1075), with slack; see
+# SubSelections.
+_UNIT = 2.0 ** -53
+_TINY = 2.0 ** -1070
+
+
+class SubSelections:
+    """First correct ranks of several similarity selections in one step's
+    history, from one query's normalized distinct-key scores (the
+    ``columns`` of ``recommend`` for a union of them), equal to those of
+    the rankings ``rank_selection`` makes from the same scores.
+
+    A reviewer's exact score under a selection of p methods is
+    T = fsum over its records of that record's mean (``recommender._mean``).
+    Let X be the real sum of the selected scores over p. Each mean is an
+    fsum rounded once and a division rounded once, and the total is
+    rounded once, so ``|T - X| <= 3.01·u·X + 1.01·n_r·η`` for a reviewer
+    of n_r records, with u = 2**-53 and η = 2**-1075 the largest error of
+    a rounding below the normal range (addition below it is exact).
+
+    The filter's approximation takes S[m] = counts(field(m)) @ column[m]
+    per reviewer, then A = W @ S with weights fl(1/p). S[m] sums at most
+    n_r non-zero products of an integer count and a non-negative score;
+    in any order, with or without fused multiply-adds, each term carries
+    at most n_r roundings. The weight, the product by it and the sum of
+    at most four terms add five more, so
+    ``|A - X| <= γ(n_r + 5)·X + (n_r + 4)·η`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3-4; γ(k) = k·u / (1 - k·u)).
+    For n_r < 2**40, adding the two and bounding X by A gives
+    ``|A - T| < e = 4·u·(n_r + 16)·A + (n_r + 16)·2**-1070``, about four
+    times the bound, which also absorbs the roundings of e and A ± e.
+
+    So T lies in [A - e, A + e]. A reviewer whose lower end is above the
+    best truth reviewer's upper end is surely ahead of it, and one whose
+    upper end is below its lower end surely behind. Only reviewers whose
+    interval meets the best truth reviewer's get their exact T (``exact``),
+    and are then ordered by (-T, reviewer id) against it (Shewchuk's
+    filtered exact pattern, Discrete Comput. Geom. 18, 1997). T is 0
+    exactly when every selected S is 0: every count is at least 1, so S
+    is 0 only if each of the reviewer's scores is. Zeros are decided from
+    S, not A, because a third of a subnormal S can round to 0; two such
+    reviewers tie and are ordered by id without ``exact``.
+
+    The history's reviewers, their ids' order and its count matrices are
+    read once, when the object is made for a step.
+    """
+
+    def __init__(self, history: History, selections: Sequence[frozenset]):
+        self.history, self.selections = history, list(selections)
+        self.methods = [m for m in MethodId if any(m in s for s in self.selections)]
+        self.weights = np.array([[1 / len(s) if m in s else 0.0 for m in self.methods]
+                                 for s in self.selections])
+        self.counts = [history.counts(_FIELD[m]) for m in self.methods]
+        reviewers = [reviewer for reviewer, _ in history.groups]
+        self.index = {reviewer: r for r, reviewer in enumerate(reviewers)}
+        self.id_order = np.empty(len(reviewers), dtype=np.intp)
+        self.id_order[sorted(range(len(reviewers)), key=reviewers.__getitem__)] = range(len(reviewers))
+        slack = np.array([len(ix) for _, ix in history.groups]) + 16.0
+        self.relative, self.absolute = 4 * _UNIT * slack, slack * _TINY
+
+    def exact(self, columns, selection: frozenset, r: int) -> float:
+        """Reviewer ``r``'s score under ``selection``, as ``rank_selection``
+        computes it: the math.fsum of its records' means."""
+        records = np.asarray(self.history.groups[r][1], dtype=np.intp)
+        positions = self.history.positions
+        return math.fsum(_mean([columns[m][positions[_FIELD[m]][records]].tolist()
+                                for m in MethodId if m in selection]))
+
+    def bounds(self, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Selection × reviewer arrays: the ends of the interval that holds
+        each exact score, and where that score is surely 0 (both ends 0)."""
+        sums = np.array([c @ columns[m] for c, m in zip(self.counts, self.methods)])
+        approx = self.weights @ sums
+        error = self.relative * approx + self.absolute
+        zero = ~((self.weights > 0) @ (sums > 0))
+        return np.where(zero, 0.0, approx - error), np.where(zero, 0.0, approx + error), zero
+
+    def ranks(self, columns, truth: Collection[str]) -> list[int | None]:
+        """Each selection's first correct rank for ``truth``, or None for
+        all when no truth reviewer is in the history."""
+        truths = np.array(sorted(self.index[t] for t in truth if t in self.index), dtype=np.intp)
+        if not len(truths):
+            return [None] * len(self.selections)
+        lo, hi, zero = self.bounds(columns)
+        known: dict[tuple[int, int], float] = {}
+
+        def order(s, r):
+            """Reviewer r's place under selection s: (-T, id order)."""
+            if not zero[s, r] and (s, r) not in known:
+                known[s, r] = self.exact(columns, self.selections[s], r)
+            return -known.get((s, r), 0.0), self.id_order[r]
+
+        # The best truth reviewer is among those that no other truth
+        # reviewer is surely ahead of.
+        maybe = hi[:, truths] >= lo[:, truths].max(axis=1, keepdims=True)
+        best = truths[maybe.argmax(axis=1)]
+        for s in np.flatnonzero(maybe.sum(axis=1) > 1):
+            best[s] = min(truths[maybe[s]], key=lambda r: order(s, r))
+        rows = np.arange(len(self.selections))
+        lo_best, hi_best = lo[rows, best][:, None], hi[rows, best][:, None]
+        ahead = np.count_nonzero(lo > hi_best, axis=1)
+        near = (lo <= hi_best) & (hi >= lo_best)
+        near[rows, best] = False
+        tied = near & zero & zero[rows, best][:, None]
+        ahead += np.count_nonzero(tied & (self.id_order < self.id_order[best][:, None]), axis=1)
+        for s, r in zip(*np.nonzero(near & ~tied)):
+            ahead[s] += order(s, r) < order(s, best[s])
+        return (ahead + 1).tolist()
+
+
+def _query_ranks(query, truth, history, methods, union, others, table, stopwords) -> list[int | None]:
     """Each configured selection's first correct rank for one query. The
     query is scored once for the similarity selections' union and once by
-    REVFINDER if configured; each other selection is ranked once from the
-    union's columns. No ranking outlives the call."""
+    REVFINDER if configured; the union's rank comes from ``recommend``'s
+    ranking, and every other selection's from ``others`` (a
+    ``SubSelections`` of the step) over the union's columns. No ranking
+    outlives the call."""
     # Called through this module's ``recommend`` name: the benchmark
     # (bench/child.py) wraps ``evaluation.recommend`` to time these
     # calls, and tests/test_bench_contract.py fails when it times none.
-    scored = recommend(query, history, union, table, stopwords) if union else None
-    baseline = revfinder_recommend(query, history) if REVFINDER in methods else None
-    ranked = {union: scored, REVFINDER: baseline}
-    for selection in methods:
-        if selection not in ranked:
-            ranked[selection] = rank_selection(
-                history.groups, scored.columns, selection, scored.query_ref)
-    return [first_correct_rank(ranked[selection], truth) for selection in methods]
+    ranks = {}
+    if union:
+        scored = recommend(query, history, union, table, stopwords)
+        ranks[union] = first_correct_rank(scored, truth)
+        if others.selections:
+            ranks.update(zip(others.selections, others.ranks(scored.columns, truth)))
+    if REVFINDER in methods:
+        ranks[REVFINDER] = first_correct_rank(revfinder_recommend(query, history), truth)
+    return [ranks[selection] for selection in methods]
 
 
 def _score_steps(
@@ -172,19 +293,23 @@ def _score_steps(
     """Reduce every query of every (m, validation) step to each configured
     selection's first correct rank against the first m ``records``, and
     average each metric over the steps with equal weights. The union's
-    features are built once, before the first query."""
+    and REVFINDER's features are built once, before the first query."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
+    others = [s for s in dict.fromkeys(config.methods) if s not in (union, REVFINDER)]
     whole = History(records)
     for method in filter(union.__contains__, MethodId):
         whole.feature(method, table, stopwords)
+    if REVFINDER in config.methods:
+        whole.feature(REVFINDER)
     ranks = []  # ranks[step][query][position]
     for m, validation in steps:
         history = whole.prefix(m)
+        step_others = SubSelections(history, others)
         truths: dict[str, set[str]] = {}
         for record in validation:
             truths.setdefault(record.change_id, set()).add(record.reviewer_id)
         ranks.append([_query_ranks(query, truths[query.change_id], history, config.methods,
-                                   union, table, stopwords) for query in validation])
+                                   union, step_others, table, stopwords) for query in validation])
     rows = []
     for position, selection in enumerate(config.methods):
         # A selection configured twice gets two row groups.

@@ -3,24 +3,29 @@
 Two rankers live here. ``recommend`` scores every history record against
 the query with the selected similarity methods (file-path Jaccard,
 file-path adapted Hamming, comment cosine, comment Jaccard) into one
-min-max normalized column per method; ``rank_selection`` averages any
-sub-selection's columns per record and sums per reviewer.
+min-max normalized column per method, averages the columns per record
+(``_mean``) and sums per reviewer. It returns the normalized scores of
+the distinct keys with its ranking. ``rank_selection`` ranks any
+sub-selection the same way from columns expanded to one per record, and
+evaluation's filter (``evaluation.SubSelections``) finds first correct
+ranks from the distinct-key scores as they are.
 ``revfinder_recommend`` is the file-path-only baseline: four string-overlap
 scores per record, summed per reviewer into four rankings that are merged
-by Borda count. The overlaps are exact integer kernels: a bit-parallel
-longest common subsequence and a grow-only longest common substring
-search.
+by Borda count. The overlaps are exact integer kernels over all distinct
+paths at once (``similarity.PathOverlaps``); ``_path_overlap_scores`` is
+their one-pair reference.
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
 Both rankers take their history as a ``History``: the records with their
 distinct keys, reviewer groups and, from each method's first use, that
-method's features of the distinct keys (see ``similarity``), so that
-``recommend`` scores each method as one array pass per query, with the
-same doubles as ``method_score``. ``History.prefix`` cuts all of these
-from a longer history instead of building them again. Reviewers are
-ranked with ``_rank``: one math.fsum per reviewer group, ties by
-reviewer id.
+method's (or the baseline's) features of the distinct keys (see
+``similarity``), so that each method scores as one array pass per query,
+with the same doubles as ``method_score``. ``History.prefix`` cuts all of
+these from a longer history instead of building them again;
+``History.counts``, the reviewer × key count matrices of evaluation's
+filter, belongs to one History. Reviewers are ranked with ``_rank``: one
+math.fsum per reviewer group, ties by reviewer id.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -42,6 +47,7 @@ from .embedding import EmbeddingTable, comment_vector
 from .errors import ConfigurationError, EmptyHistoryError
 from .similarity import (
     PathCodes,
+    PathOverlaps,
     TokenPostings,
     VectorRows,
     adapted_hamming_similarity,
@@ -94,11 +100,12 @@ def selection_label(selection: MethodSelection) -> str:
 class RecommendationList:
     """Ranked (reviewer_id, score) pairs: scores non-increasing, reviewers
     unique, ties ordered lexicographically by reviewer id; ``columns`` are
-    the normalized method columns behind it (empty for the baseline)."""
+    the normalized method scores behind it, one per distinct key of the
+    method's field in ``History.keys`` order (empty for the baseline)."""
 
     entries: tuple[tuple[str, float], ...]
     query_ref: tuple[str, str]
-    columns: Mapping[MethodId, list[float]] = field(default_factory=dict, compare=False)
+    columns: Mapping[MethodId, np.ndarray] = field(default_factory=dict, compare=False)
 
     def reviewers(self) -> list[str]:
         return [reviewer for reviewer, _ in self.entries]
@@ -107,21 +114,23 @@ class RecommendationList:
         return self.entries[:n]
 
 
-# The record field each method scores.
+# The record field each method, and the baseline, scores.
 _FIELD = {
     MethodId.FP_JC: "file_path",
     MethodId.FP_HD: "file_path",
     MethodId.RC_CS: "comment",
     MethodId.RC_JC: "comment",
+    REVFINDER: "file_path",
 }
 
 
 def _compared(method, record, table, stopwords):
     """What ``method`` compares of a record: its path's token set (FP_JC),
-    its path (FP_HD), its comment's tokens (RC_JC) or vector (RC_CS)."""
+    its path (FP_HD, REVFINDER), its comment's tokens (RC_JC) or vector
+    (RC_CS)."""
     if method is MethodId.FP_JC:
         return tokenize_path(record.file_path)
-    if method is MethodId.FP_HD:
+    if method is MethodId.FP_HD or method == REVFINDER:
         return record.file_path
     if method is MethodId.RC_JC:
         return preprocess_comment(record.comment, stopwords)
@@ -171,12 +180,14 @@ class History(tuple):
     array, and ``groups`` holds each reviewer with the indices of its
     records. ``History(h)`` returns ``h`` when it already is one.
 
-    ``feature`` builds a method's features of the distinct keys on first
-    use and keeps them: comment features per stop-word list, comment
-    vectors per table (the table object itself is the key). Until then a
-    key that a method cannot score raises nothing, so a history whose
-    paths have no tokens still serves the comment methods. Two threads
-    that race on a first use both build, and either equal result is kept."""
+    ``feature`` builds a method's (or REVFINDER's) features of the
+    distinct keys on first use and keeps them: comment features per
+    stop-word list, comment vectors per table (the table object itself is
+    the key). Until then a key that a method cannot score raises nothing,
+    so a history whose paths have no tokens still serves the comment
+    methods. ``counts`` likewise builds each field's reviewer × key count
+    matrix on first use. Two threads that race on a first use both build,
+    and either equal result is kept."""
 
     def __new__(cls, records: Iterable[ReviewRecord]):
         if isinstance(records, History):
@@ -186,7 +197,7 @@ class History(tuple):
             raise EmptyHistoryError("cannot recommend from an empty history")
         self.keys = {field: _distinct(self, field) for field in ("file_path", "comment")}
         self.positions = {f: np.array(ix, dtype=np.intp) for f, (_, ix) in self.keys.items()}
-        self.features = {}
+        self.features, self.tallies = {}, {}
         groups: dict[str, list[int]] = {}
         for idx, past in enumerate(self):
             groups.setdefault(past.reviewer_id, []).append(idx)
@@ -202,23 +213,25 @@ class History(tuple):
         part = tuple.__new__(History, self[:m])
         part.positions = {f: ix[:m] for f, ix in self.positions.items()}
         part.keys = {f: (h[:part.positions[f].max() + 1], ix[:m]) for f, (h, ix) in self.keys.items()}
-        part.features = dict(self.features)
+        part.features, part.tallies = dict(self.features), {}
         part.groups = tuple((r, ix[:bisect_left(ix, m)]) for r, ix in self.groups if ix[0] < m)
         return part
 
     def feature(
         self,
-        method: MethodId,
+        method: MethodId | str,
         table: EmbeddingTable | None = None,
         stopwords: frozenset[str] | None = None,
-    ) -> TokenPostings | PathCodes | VectorRows:
+    ) -> TokenPostings | PathCodes | VectorRows | PathOverlaps:
         """``method``'s features of the distinct keys of its field: token
-        postings, padded code points or comment vectors (see ``similarity``)."""
+        postings, padded code points, comment vectors or, for REVFINDER,
+        the paths packed for its overlaps (see ``similarity``)."""
         key = {MethodId.RC_JC: (method, stopwords),
                MethodId.RC_CS: (method, table, stopwords)}.get(method, method)
         built = self.features.get(key)
         if built is None:
-            kind = {MethodId.FP_HD: PathCodes, MethodId.RC_CS: VectorRows}.get(method, TokenPostings)
+            kind = {MethodId.FP_HD: PathCodes, MethodId.RC_CS: VectorRows,
+                    REVFINDER: PathOverlaps}.get(method, TokenPostings)
             holders = self.keys[_FIELD[method]][0]
             built = self.features[key] = kind([_compared(method, r, table, stopwords) for r in holders])
         return built
@@ -239,6 +252,20 @@ class History(tuple):
             return built.adapted_hamming(compared, n)
         return (built.cosine if method is MethodId.RC_CS else built.jaccard)(compared, n)
 
+    def counts(self, field: str) -> np.ndarray:
+        """How many records of each reviewer (rows, in ``groups`` order)
+        hold each distinct key of ``field`` (columns, in ``keys`` order),
+        as floats. A prefix builds its own."""
+        built = self.tallies.get(field)
+        if built is None:
+            owners = np.repeat(np.arange(len(self.groups)), [len(ix) for _, ix in self.groups])
+            records = np.concatenate([ix for _, ix in self.groups]).astype(np.intp)
+            width = len(self.keys[field][0])
+            cells = owners * width + self.positions[field][records]
+            built = np.bincount(cells, minlength=len(self.groups) * width).reshape(-1, width)
+            built = self.tallies[field] = built.astype(float)
+        return built
+
 
 def _is_method_set(selection: object) -> bool:
     """True for a non-empty frozenset of MethodId, which ``recommend`` takes."""
@@ -255,22 +282,38 @@ def recommend(
     """Rank every reviewer in the history by summed similarity to the query.
 
     Each method's raw scores are min-max normalized across the history
-    (constant columns become all zeros) and ranked by ``rank_selection``;
-    the result carries those columns for ranking sub-selections.
+    (constant columns become all zeros) and ranked like ``rank_selection``
+    ranks them per record; the result carries the normalized scores of
+    the distinct keys, for ranking sub-selections.
     """
     history = History(history)
     if not _is_method_set(methods):
         raise ConfigurationError(f"expected a non-empty set of similarity methods, got {methods!r}")
 
-    columns = {}
+    columns, per_record = {}, []
     for m in MethodId:
         if m in methods:
             scores = history.scores(query, m, table, stopwords)
             # The extremes of the distinct scores are those of the column.
             lo, hi = scores.min(), scores.max()
-            normed = np.zeros(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
-            columns[m] = normed[history.positions[_FIELD[m]]].tolist()
-    return rank_selection(history.groups, columns, methods, (query.change_id, query.patch_id))
+            columns[m] = np.zeros(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
+            per_record.append(columns[m][history.positions[_FIELD[m]]].tolist())
+    entries = _rank(history.groups, _mean(per_record))
+    return RecommendationList(entries, (query.change_id, query.patch_id), columns)
+
+
+def _mean(selected: Sequence[Sequence[float]]) -> Sequence[float]:
+    """Per record, the mean of the selected columns' values.
+
+    The mean of one column is the column, and of two is ``(a + b) / 2``:
+    IEEE addition is correctly rounded, so it equals ``fsum([a, b])``.
+    """
+    n = len(selected)
+    if n == 1:
+        return selected[0]
+    if n == 2:
+        return [(a + b) / 2 for a, b in zip(*selected)]
+    return [math.fsum(values) / n for values in zip(*selected)]
 
 
 def rank_selection(
@@ -279,21 +322,10 @@ def rank_selection(
     methods: frozenset,
     query_ref: tuple[str, str],
 ) -> RecommendationList:
-    """Average the selected columns per record and sum each reviewer's
-    group (see ``History.groups``) with math.fsum, so the ranking does not
-    depend on history order.
-
-    The mean of one column is the column, and of two is ``(a + b) / 2``:
-    IEEE addition is correctly rounded, so it equals ``fsum([a, b])``.
-    """
-    selected = [columns[m] for m in MethodId if m in methods]
-    n = len(selected)
-    if n == 1:
-        combined = selected[0]
-    elif n == 2:
-        combined = [(a + b) / 2 for a, b in zip(*selected)]
-    else:
-        combined = [math.fsum(values) / n for values in zip(*selected)]
+    """Average the selected per-record columns per record (``_mean``) and
+    sum each reviewer's group (see ``History.groups``) with math.fsum, so
+    the ranking does not depend on history order."""
+    combined = _mean([columns[m] for m in MethodId if m in methods])
     return RecommendationList(entries=_rank(groups, combined), query_ref=query_ref, columns=columns)
 
 
@@ -337,6 +369,8 @@ def _lcsubseq_len(p: str, q: str) -> int:
 
 @lru_cache(maxsize=65536)
 def _path_overlap_scores(p: str, q: str) -> tuple[float, float, float, float]:
+    """One pair's four overlaps: the scalar reference that
+    ``PathOverlaps.overlaps`` equals path by path."""
     longer = max(len(p), len(q))
     if longer == 0:
         return (0.0, 0.0, 0.0, 0.0)
@@ -358,11 +392,10 @@ def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) ->
     reviewer gets n and the last gets 1; final ranking is by total points.
     """
     history = History(history)
-    holders, positions = history.keys["file_path"]
-    rows = [_path_overlap_scores(query.file_path, past.file_path) for past in holders]
+    overlaps = history.feature(REVFINDER).overlaps(query.file_path, len(history.keys["file_path"][0]))
     borda: dict[str, float] = {}
-    for component in zip(*rows):
-        ranking = _rank(history.groups, [component[i] for i in positions])
+    for component in overlaps[:, history.positions["file_path"]].tolist():
+        ranking = _rank(history.groups, component)
         n = len(ranking)
         for idx, (reviewer, _) in enumerate(ranking):
             borda[reviewer] = borda.get(reviewer, 0.0) + (n - idx)

@@ -1,5 +1,5 @@
 """Similarity kernels: Jaccard coefficient, adapted Hamming path similarity,
-and cosine similarity.
+and cosine similarity, and REVFINDER's four path overlaps.
 
 All kernels are symmetric and return a float in [0, 1]. Each also has a
 batched form that scores one query against many keys in one array pass:
@@ -8,8 +8,12 @@ batched form that scores one query against many keys in one array pass:
 kernel's on that pair: the integer counts are exact, int64 / int64
 divides like Python's int / int, and ``cosine`` sums with ``np.sum``,
 whose pairwise sum of a row alone equals that row's sum in an axis-1
-reduction. Given ``n``, a batched form scores only its first ``n`` keys,
-as the same doubles as an index of those keys alone would.
+reduction. ``PathOverlaps.overlaps`` gives REVFINDER's common prefix,
+suffix, substring and subsequence of one query path and many paths in
+one pass, from one bit-vector of all the paths (the scalar reference is
+``recommender._path_overlap_scores``). Given ``n``, a batched form scores
+only its first ``n`` keys, as the same doubles as an index of those keys
+alone would.
 """
 
 from __future__ import annotations
@@ -110,6 +114,100 @@ class PathCodes:
         d = np.count_nonzero(codes != query, axis=1) + max(len(path) - width, 0)
         # d is 0 exactly for identical paths, which score 1.0.
         return 1.0 / np.maximum(d, 1)
+
+
+def _pack(bits: np.ndarray) -> int:
+    """A 0/1 array as the bits of an int, lowest first."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _bits(values: Sequence[int], width: int) -> np.ndarray:
+    """The low ``width`` bits of each value as one 0/1 row, lowest first."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), size), axis=1, count=width, bitorder="little")
+
+
+def _first_mismatch(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per row padded with -1, the length of its common prefix with
+    ``codes``: the query is padded with -2, so a row and the query differ
+    where either ends, and agree throughout only if the row fills the width."""
+    width = rows.shape[1]
+    query = np.full(width, -2, dtype=np.int32)
+    query[:min(len(codes), width)] = codes[:width]
+    differ = rows != query
+    return np.where(differ.any(axis=1), differ.argmax(axis=1), width)
+
+
+class PathOverlaps:
+    """Many paths, for REVFINDER's four overlaps against one query path:
+    common prefix, common suffix, longest common substring and longest
+    common subsequence, each over the longer path's length.
+
+    Path k holds bits ``starts[k]`` to ``starts[k] + len(k) - 1`` of one
+    bit-vector (a Python int), and the bit above them is a guard that no
+    character's mask sets, so the first ``n`` paths are its low
+    ``starts[n]`` bits and a carry or shift out of a path stops in its
+    guard (the packing of Hyyrö, Fredriksson & Navarro, JEA 2006). The
+    prefix and suffix come from rows of forward and reversed code points
+    padded with -1. Paths may be empty."""
+
+    def __init__(self, paths: Sequence[str]):
+        self.lengths = np.array([len(path) for path in paths], dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths + 1)))
+        codes = _code_points("\0".join(paths) + "\0")
+        codes[self.starts[1:] - 1] = -1
+        self.masks = {c: _pack(codes == ord(c)) for c in set().union(*paths)}
+        self.full = _pack(codes >= 0)
+        width = int(self.lengths.max())
+        self.rows = np.full((2, len(paths), width), -1, dtype=np.int32)
+        for k, path in enumerate(paths):
+            self.rows[0, k, :len(path)] = _code_points(path)
+            self.rows[1, k, :len(path)] = _code_points(path[::-1])
+
+    def overlaps(self, path: str, n: int) -> np.ndarray:
+        """A 4 × ``n`` array: for each of the first ``n`` paths ``p``, the
+        common prefix, common suffix, longest common substring and longest
+        common subsequence of ``path`` and ``p`` over ``max(len(path),
+        len(p))``, or 0.0 where both are empty."""
+        lengths, starts = self.lengths[:n], self.starts[:n]
+        top = int(self.starts[n])
+        cut = (1 << top) - 1
+        full = self.full & cut
+        masks = [self.masks.get(a, 0) for a in path]
+        # Longest common subsequence (Hyyrö 2004): after a query prefix,
+        # the clear bits of path k's segment of ``v`` count its LCS with
+        # that prefix. ``u`` is a subset of ``v``, so ``v - u`` never
+        # borrows, and the carry of ``v + u`` stops in a guard bit.
+        v = full
+        for mask in masks:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+        subsequence = lengths - np.add.reduceat(_bits([v], top)[0], starts, dtype=np.int64)
+        # Longest common substring: after query character i, bit j of
+        # levels[L - 1] is set where a common substring of length at least
+        # L ends at i and j, and hits[L - 1] is the union of that level over
+        # all i. Each level lies within the one below, so the number of
+        # hits that hold bit j is the longest common substring ending at j.
+        levels, hits = [], []
+        for mask in masks:
+            grown, level = [], mask & cut
+            for below in levels:
+                if not level:
+                    break
+                grown.append(level)
+                level = (below << 1) & mask
+            if level:
+                grown.append(level)
+            hits = [h | g for h, g in zip(hits, grown)] + hits[len(grown):] + grown[len(hits):]
+            levels = grown
+        runs = _bits(hits, top).sum(axis=0, dtype=np.int64)
+        substring = np.maximum.reduceat(runs, starts)
+        codes = _code_points(path)
+        prefix = _first_mismatch(self.rows[0, :n], codes)
+        suffix = _first_mismatch(self.rows[1, :n], codes[::-1])
+        longer = np.maximum(np.maximum(lengths, len(path)), 1)  # all four are 0 where 0
+        return np.array([prefix, suffix, substring, subsequence]) / longer
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:

@@ -1,10 +1,12 @@
 """Metrics, sampling partitions, and report determinism."""
 
+import itertools
 import json
 import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 import oracle
@@ -23,12 +25,13 @@ from revrec.evaluation import (
     _min_fixed_corpus_size,
     first_correct_rank,
     fixed_test_indices,
+    SubSelections,
     incremental_chunks,
     mrr_at_k,
     run_eval,
     topk_accuracy,
 )
-from revrec.recommender import MethodId, RecommendationList
+from revrec.recommender import _FIELD, History, MethodId, RecommendationList, rank_selection
 
 FP_JC = frozenset({MethodId.FP_JC})
 
@@ -403,24 +406,44 @@ class TestScoreOncePerQuery:
 
     @pytest.mark.parametrize("sampling", list(Sampling))
     def test_each_other_distinct_selection_is_ranked_once_per_query(self, monkeypatch, sampling):
-        # The union reuses recommend's own ranking, and FP_JC, configured
-        # twice, is ranked once.
+        # The union is scored and ranked by one recommend call per query;
+        # FP_JC, configured twice, and FP_HD are ranked from its columns by
+        # one SubSelections.ranks call per query, without rank_selection.
+        # REVFINDER's overlaps come from one PathOverlaps per run, not from
+        # the pair-by-pair _path_overlap_scores.
         rng = random.Random(98)
         corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
         fp_hd = frozenset({MethodId.FP_HD})
-        calls = []
-        inner = revrec.evaluation.rank_selection
+        calls = {"recommend": [], "ranks": [], "rank_selection": 0,
+                 "_path_overlap_scores": 0, "PathOverlaps": 0}
+        recommend, ranks = revrec.evaluation.recommend, revrec.evaluation.SubSelections.ranks
 
-        def counting(groups, columns, selection, query_ref):
-            calls.append(selection)
-            return inner(groups, columns, selection, query_ref)
+        def recommending(query, history, selection, *args, **kwargs):
+            calls["recommend"].append(selection)
+            return recommend(query, history, selection, *args, **kwargs)
 
-        monkeypatch.setattr(revrec.evaluation, "rank_selection", counting)
-        config = EvalConfig(methods=(FP_JC, FP_JC | fp_hd, fp_hd, FP_JC), sampling=sampling)
+        def ranking(others, columns, truth):
+            calls["ranks"].append(others.selections)
+            return ranks(others, columns, truth)
+
+        for name in ("rank_selection", "_path_overlap_scores", "PathOverlaps"):
+            inner = getattr(revrec.recommender, name)
+
+            def counting(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(revrec.recommender, name, counting)
+        monkeypatch.setattr(revrec.evaluation, "recommend", recommending)
+        monkeypatch.setattr(revrec.evaluation.SubSelections, "ranks", ranking)
+        config = EvalConfig(methods=(FP_JC, FP_JC | fp_hd, fp_hd, FP_JC, "REVFINDER"),
+                            sampling=sampling)
         counted = run_eval(corpus, config)
         monkeypatch.undo()
         assert counted == run_eval(corpus, config)
-        assert calls == [FP_JC, fp_hd] * self._queries(config, 40)
+        queries = self._queries(config, 40)
+        assert calls == {"recommend": [FP_JC | fp_hd] * queries, "ranks": [[FP_JC, fp_hd]] * queries,
+                         "rank_selection": 0, "_path_overlap_scores": 0, "PathOverlaps": 1}
 
     @pytest.mark.parametrize("sampling", list(Sampling))
     def test_no_ranking_outlives_its_query(self, monkeypatch, sampling):
@@ -573,3 +596,136 @@ class TestSmallCorpusFuzz:
             assert len(report.rows) == 2 * len(config.methods)
             assert all(0.0 <= row.mrr <= row.topk_accuracy <= 1.0 for row in report.rows)
         assert evaluated >= 50
+
+
+ALL_SELECTIONS = [frozenset(combo) for size in range(1, 5)
+                  for combo in itertools.combinations(MethodId, size)]
+
+
+def keyed_history(reviewers):
+    """One record per entry of ``reviewers``, each with its own path and
+    comment, so that every method's distinct keys are the records."""
+    return History([make_record(change_id=f"c{i}", file_path=f"p/{i}.py", comment=f"w{i}",
+                                reviewer_id=reviewer, minute=i)
+                    for i, reviewer in enumerate(reviewers)])
+
+
+def reference_ranks(history, columns, selections, truth):
+    """First correct ranks of the rankings rank_selection makes from the
+    same scores, expanded to one per record."""
+    per_record = {m: column[history.positions[_FIELD[m]]].tolist() for m, column in columns.items()}
+    return [first_correct_rank(rank_selection(history.groups, per_record, s, ("q", "p")), truth)
+            for s in selections]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The (selection, reviewer) pairs that SubSelections scored exactly."""
+    calls = []
+    inner = SubSelections.exact
+
+    def counting(self, columns, selection, r):
+        calls.append((selection, self.history.groups[r][0]))
+        return inner(self, columns, selection, r)
+
+    monkeypatch.setattr(SubSelections, "exact", counting)
+    return calls
+
+
+class TestSubSelections:
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_first_correct_ranks_equal_rank_selection(self, monkeypatch, exact_calls, sampling):
+        rng = random.Random(f"filter/{sampling.value}")
+        compared = 0
+        inner = SubSelections.ranks
+
+        def checking(others, columns, truth):
+            nonlocal compared
+            got = inner(others, columns, truth)
+            assert got == reference_ranks(others.history, columns, others.selections, truth)
+            compared += len(got)
+            return got
+
+        monkeypatch.setattr(SubSelections, "ranks", checking)
+        for trial in range(12):
+            records = random_records(rng, rng.randint(30, 80))
+            # Coarse vectors tie often; both orders of the union are used.
+            config = EvalConfig(methods=compare_selections()[::rng.choice([1, -1])],
+                                sampling=sampling, rng_seed=trial)
+            run_eval(Corpus(project="synth", records=tuple(records)), config, random_table(rng))
+        assert compared > 1000
+        assert exact_calls
+
+    @pytest.mark.parametrize("reviewers, values, truth, selection, rank", [
+        # 0.1 + 0.2 is one ulp above 0.3.
+        (["reva", "reva", "revb"], [0.1, 0.2, 0.3], "revb", 1, 2),
+        # Equal sums from different records tie, and ties go by id.
+        (["reva", "reva", "revb"], [0.5, 0.25, 0.75], "revb", 1, 2),
+        # A float sum in record order ties them; the exact sum does not.
+        (["revb", "revb", "revb", "reva"], [1.0, 2**-53, 2**-53, 1.0], "reva", 1, 2),
+        # Equal means of three methods, which weighted float sums misorder.
+        (["revb", "reva"], [[1.0, 6 / 7, 1 / 7], [1.0, 1.0, 0.0]], "reva", 3, 1),
+    ], ids=["last-bit", "equal-multisets", "naive-misorder", "three-method-means"])
+    def test_near_ties_go_to_the_exact_sums(self, exact_calls, reviewers, values, truth, selection, rank):
+        # ``values`` holds one score per record, or one per record and method.
+        history = keyed_history(reviewers)
+        methods = list(MethodId)[:selection]
+        grid = np.array(values, dtype=float).reshape(len(reviewers), selection)
+        columns = {m: grid[:, i] for i, m in enumerate(methods)}
+        selections = [frozenset(methods)]
+        got = SubSelections(history, selections).ranks(columns, {truth})
+        assert got == reference_ranks(history, columns, selections, {truth}) == [rank]
+        assert sorted(r for _, r in exact_calls) == ["reva", "revb"]
+
+    def test_naive_sums_misorder_the_near_ties(self):
+        # What the cases above guard against: summing in record order.
+        assert 0.1 + 0.2 != 0.3
+        assert 1.0 + 2**-53 + 2**-53 == 1.0 != math.fsum([1.0, 2**-53, 2**-53])
+        third = 1 / 3
+        assert math.fsum([1.0, 6 / 7, 1 / 7]) / 3 == math.fsum([1.0, 1.0, 0.0]) / 3
+        assert third * 1.0 + third * (6 / 7) + third * (1 / 7) > third * 1.0 + third * 1.0 + third * 0.0
+
+    def test_intervals_hold_the_exact_sums(self):
+        rng = random.Random(137)
+        sizes = [1, 2, 3, 10, 100, 1000, 10_000]
+        reviewers = [f"rev{i}" for i, size in enumerate(sizes) for _ in range(size)]
+        records = [make_record(change_id=f"c{i}", file_path=f"p/{rng.randrange(4000)}.py",
+                               comment=f"w{rng.randrange(4000)}", reviewer_id=reviewer)
+                   for i, reviewer in enumerate(reviewers)]
+        history = History(records)
+        assert [len(ix) for _, ix in history.groups] == sizes
+        others = SubSelections(history, ALL_SELECTIONS)
+        draws = {
+            "uniform": lambda: rng.random(),
+            "subnormal": lambda: rng.randrange(2**20) * 2.0**-1074,
+            "near the normal range": lambda: rng.random() * 2.0**-1020,
+            "grid": lambda: rng.randint(0, 7) / 7,
+            "mixed": lambda: rng.choice([0.0, 1.0, 2.0**-1074, rng.random(), rng.random() * 1e-300]),
+            # A third of these rounds to 0, though a mean of two is not 0.
+            "smallest": lambda: rng.choice([0.0, 2.0**-1074, 2.0**-1073]),
+        }
+        checked = 0
+        for draw in draws.values():
+            columns = {m: np.array([draw() for _ in history.keys[_FIELD[m]][0]]) for m in MethodId}
+            lo, hi, zero = others.bounds(columns)
+            for s, selection in enumerate(ALL_SELECTIONS):
+                for r in range(len(sizes)):
+                    exact = others.exact(columns, selection, r)
+                    assert lo[s, r] <= exact <= hi[s, r], (selection, sizes[r])
+                    assert exact == 0.0 or not zero[s, r]
+                    checked += 1
+        assert checked == len(draws) * 15 * len(sizes)
+
+    def test_truth_absent_from_the_history_has_no_rank(self, exact_calls):
+        history = keyed_history(["reva", "revb"])
+        columns = {m: np.array([0.5, 0.5]) for m in MethodId}
+        assert SubSelections(history, ALL_SELECTIONS).ranks(columns, {"ghost"}) == [None] * 15
+        assert not exact_calls
+
+    def test_all_zero_columns_tie_by_id_without_exact_sums(self, exact_calls):
+        history = keyed_history(["revc", "reva", "revd", "revb", "reva"])
+        columns = {m: np.zeros(5) for m in MethodId}
+        others = SubSelections(history, ALL_SELECTIONS)
+        assert others.ranks(columns, {"revc"}) == [3] * 15
+        assert others.ranks(columns, {"revd", "revb", "ghost"}) == [2] * 15
+        assert not exact_calls

@@ -33,6 +33,7 @@ from revrec.recommender import (
     _lcsubstr_len,
     _path_overlap_scores,
 )
+from revrec.similarity import PathOverlaps
 
 ALL_SELECTIONS = [
     frozenset(combo)
@@ -511,11 +512,35 @@ class TestRevFinder:
         # Lengths reach past 64 so that a fixed-width bit-vector port
         # fails here; "ab/" gives long repeated runs.
         rng = random.Random(f"kernels/{alphabet}")
+
+        def path(longest=70):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
         for _ in range(400):
-            p = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
-            q = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            p, q = path(), path()
             assert _lcsubseq_len(p, q) == oracle.lcsubseq_len(p, q), (p, q)
             assert _lcsubstr_len(p, q) == oracle.lcsubstr_len(p, q), (p, q)
+        # The multi-target form: each query against the first n paths of
+        # one packed PathOverlaps, as the same doubles as one pair at a time.
+        seen = {"one path": 0, "strict cut": 0, "longer than 64": 0}
+        for trial in range(30):
+            paths = [path(90) for _ in range(1 if trial % 5 == 0 else rng.randint(2, 7))]
+            overlaps = PathOverlaps(paths)
+            queries = [rng.choice(paths), path(90), "QZ#" * rng.randint(1, 30), ""]
+            for query in queries:
+                n = rng.randint(1, len(paths))
+                got = overlaps.overlaps(query, n)
+                assert got.shape == (4, n)
+                for past, column in zip(paths, got.T.tolist()):
+                    longer = max(len(query), len(past), 1)
+                    dps = [oracle.lcp_len(query, past), oracle.lcsuffix_len(query, past),
+                           oracle.lcsubstr_len(query, past), oracle.lcsubseq_len(query, past)]
+                    want = [x.hex() for x in _path_overlap_scores(query, past)]
+                    assert [x.hex() for x in column] == want == [(x / longer).hex() for x in dps]
+                seen["one path"] += len(paths) == 1
+                seen["strict cut"] += n < len(paths)
+                seen["longer than 64"] += max(map(len, [query, *paths[:n]])) > 64
+        assert all(seen.values()), seen
 
     def test_six_record_borda_oracle(self):
         rng = random.Random(71)
