@@ -4,12 +4,12 @@ The table file is the plain-text vector format: a header line
 ``<count> <dimension>`` followed by one ``<word> <f1> ... <fd>`` line per
 word. A comment becomes the unweighted mean of its in-vocabulary token
 vectors; duplicate tokens count as often as they occur, and
-out-of-vocabulary tokens are skipped.
+out-of-vocabulary tokens are skipped. ``comment_vectors`` gives many
+comments' vectors at once, as the same doubles.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,10 +126,28 @@ def comment_vector(tokens: Sequence[str], table: EmbeddingTable) -> CommentVecto
     Returns the zero vector with coverage 0 when no token is known
     (including the empty token list).
     """
-    found = [table.entries[token] for token in tokens if token in table.entries]
-    if not found:
-        return CommentVector(values=np.zeros(table.dimension), token_coverage=0.0)
-    mean = np.mean(found, axis=0)
-    if not math.isfinite(float(np.sum(mean))):  # defensive; load guarantees finite entries
+    found = sum(token in table.entries for token in tokens)
+    values = comment_vectors([tokens], table)[0]
+    return CommentVector(values=values, token_coverage=found / len(tokens) if found else 0.0)
+
+
+def comment_vectors(comments: Sequence[Sequence[str]], table: EmbeddingTable) -> np.ndarray:
+    """The mean of each token list's in-vocabulary token vectors (the zero
+    vector where none is known), as the rows of one matrix, with one
+    ``np.mean`` per number of in-vocabulary tokens: the mean along the
+    token axis of a (comments × tokens × dimension) stack is the same
+    double as each comment's own ``np.mean``, where ``np.add.reduceat`` or
+    a running sum is not. ``comment_vector`` reads its values here."""
+    words: dict[str, int] = {}
+    found = [[words.setdefault(t, len(words)) for t in tokens if t in table.entries] for tokens in comments]
+    vectors = np.array([table.entries[word] for word in words], dtype=float)
+    rows = np.zeros((len(comments), table.dimension))
+    by_count: dict[int, list[int]] = {}
+    for row, ids in enumerate(found):
+        if ids:
+            by_count.setdefault(len(ids), []).append(row)
+    for members in by_count.values():
+        rows[members] = np.mean(vectors[[found[row] for row in members]], axis=1)
+    if not np.isfinite(np.sum(rows, axis=1)).all():  # defensive; load guarantees finite entries
         raise EmbeddingFormatError("non-finite comment vector")
-    return CommentVector(values=mean, token_coverage=len(found) / len(tokens))
+    return rows

@@ -205,10 +205,8 @@ class SubSelections:
         self.weights = np.array([[1 / len(s) if m in s else 0.0 for m in self.methods]
                                  for s in self.selections])
         self.counts = [history.counts(_FIELD[m]) for m in self.methods]
-        reviewers = [reviewer for reviewer, _ in history.groups]
-        self.index = {reviewer: r for r, reviewer in enumerate(reviewers)}
-        self.id_order = np.empty(len(reviewers), dtype=np.intp)
-        self.id_order[sorted(range(len(reviewers)), key=reviewers.__getitem__)] = range(len(reviewers))
+        self.index = {reviewer: r for r, (reviewer, _) in enumerate(history.groups)}
+        self.id_order = history.id_order
         slack = np.array([len(ix) for _, ix in history.groups]) + 16.0
         self.relative, self.absolute = 4 * _UNIT * slack, slack * _TINY
 

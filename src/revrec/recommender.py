@@ -13,7 +13,11 @@ ranks from the distinct-key scores as they are.
 scores per record, summed per reviewer into four rankings that are merged
 by Borda count. The overlaps are exact integer kernels over all distinct
 paths at once (``similarity.PathOverlaps``); ``_path_overlap_scores`` is
-their one-pair reference.
+their one-pair reference. The reviewer sums come from the distinct paths'
+overlaps and the reviewer × path count matrix, split at a grid that makes
+both matrix products exact (``_reviewer_sums``), so they are the doubles
+a math.fsum over each reviewer's records gives; the four rankings and the
+Borda points are array sorts and sums.
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
@@ -24,7 +28,8 @@ method's (or the baseline's) features of the distinct keys (see
 with the same doubles as ``method_score``. ``History.prefix`` cuts all of
 these from a longer history instead of building them again;
 ``History.counts``, the reviewer × key count matrices of evaluation's
-filter, belongs to one History. Reviewers are ranked with ``_rank``: one
+filter and of the baseline's sums, belongs to one History.
+``recommend`` and ``rank_selection`` rank reviewers with ``_rank``: one
 math.fsum per reviewer group, ties by reviewer id.
 
 Both rankers are pure functions of their inputs and independent of history
@@ -43,7 +48,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .corpus import ReviewRecord
-from .embedding import EmbeddingTable, comment_vector
+from .embedding import EmbeddingTable, comment_vector, comment_vectors
 from .errors import ConfigurationError, EmptyHistoryError
 from .similarity import (
     PathCodes,
@@ -136,9 +141,13 @@ def _compared(method, record, table, stopwords):
         return preprocess_comment(record.comment, stopwords)
     if method is not MethodId.RC_CS:
         raise ConfigurationError(f"unknown method {method!r}")
+    return comment_vector(preprocess_comment(record.comment, stopwords), _required(table)).values
+
+
+def _required(table: EmbeddingTable | None) -> EmbeddingTable:
     if table is None:
         raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
-    return comment_vector(preprocess_comment(record.comment, stopwords), table).values
+    return table
 
 
 def method_score(
@@ -156,13 +165,11 @@ def method_score(
     return cosine(q, p) if method is MethodId.RC_CS else jaccard(q, p)
 
 
-def _ranked_entries(totals: dict[str, float]) -> tuple[tuple[str, float], ...]:
-    return tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
-
-
 def _rank(groups: Sequence[tuple[str, Sequence[int]]], column: Sequence[float]) -> tuple:
-    """Each reviewer's math.fsum of its records' scores in ``column``, best first."""
-    return _ranked_entries({r: math.fsum([column[i] for i in ix]) for r, ix in groups})
+    """Each reviewer's math.fsum of its records' scores in ``column``, best
+    first, ties by reviewer id."""
+    totals = {r: math.fsum([column[i] for i in ix]) for r, ix in groups}
+    return tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
 
 
 def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewRecord], list[int]]:
@@ -173,21 +180,31 @@ def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewR
     return [past for _, past in seen.values()], positions
 
 
+def _id_order(groups: Sequence[tuple[str, Sequence[int]]]) -> np.ndarray:
+    """Each reviewer's place in the order of the reviewer ids."""
+    order = np.empty(len(groups), dtype=np.intp)
+    order[sorted(range(len(groups)), key=lambda r: groups[r][0])] = range(len(groups))
+    return order
+
+
 class History(tuple):
     """A non-empty tuple of review records with what depends on them alone,
     built once: ``keys[field]`` is ``_distinct`` of ``file_path`` and of
     ``comment``, ``positions[field]`` is its record positions as an index
-    array, and ``groups`` holds each reviewer with the indices of its
-    records. ``History(h)`` returns ``h`` when it already is one.
+    array, ``comment_index`` maps each distinct comment to its position,
+    ``groups`` holds each reviewer with the indices of its records, and
+    ``id_order`` each reviewer's place in the order of their ids.
+    ``History(h)`` returns ``h`` when it already is one.
 
     ``feature`` builds a method's (or REVFINDER's) features of the
     distinct keys on first use and keeps them: comment features per
     stop-word list, comment vectors per table (the table object itself is
-    the key). Until then a key that a method cannot score raises nothing,
-    so a history whose paths have no tokens still serves the comment
-    methods. ``counts`` likewise builds each field's reviewer × key count
-    matrix on first use. Two threads that race on a first use both build,
-    and either equal result is kept."""
+    the key), built in one pass (``embedding.comment_vectors``). Until
+    then a key that a method cannot score raises nothing, so a history
+    whose paths have no tokens still serves the comment methods.
+    ``counts`` likewise builds each field's reviewer × key count matrix on
+    first use. Two threads that race on a first use both build, and either
+    equal result is kept."""
 
     def __new__(cls, records: Iterable[ReviewRecord]):
         if isinstance(records, History):
@@ -197,24 +214,29 @@ class History(tuple):
             raise EmptyHistoryError("cannot recommend from an empty history")
         self.keys = {field: _distinct(self, field) for field in ("file_path", "comment")}
         self.positions = {f: np.array(ix, dtype=np.intp) for f, (_, ix) in self.keys.items()}
+        self.comment_index = {r.comment: k for k, r in enumerate(self.keys["comment"][0])}
         self.features, self.tallies = {}, {}
         groups: dict[str, list[int]] = {}
         for idx, past in enumerate(self):
             groups.setdefault(past.reviewer_id, []).append(idx)
         self.groups = tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
+        self.id_order = _id_order(self.groups)
         return self
 
     def prefix(self, m: int) -> History:
         """The History of the first ``m`` records, cut from this one's: a
         prefix's distinct keys in first-seen order are this one's first K,
-        and it scores with this one's features so far over their first K."""
+        and it scores with this one's features so far over their first K.
+        It shares this one's ``comment_index``, whose later keys hold
+        vectors in those features that a query may read."""
         if m < 1:
             raise EmptyHistoryError("cannot recommend from an empty history")
         part = tuple.__new__(History, self[:m])
         part.positions = {f: ix[:m] for f, ix in self.positions.items()}
         part.keys = {f: (h[:part.positions[f].max() + 1], ix[:m]) for f, (h, ix) in self.keys.items()}
-        part.features, part.tallies = dict(self.features), {}
+        part.comment_index, part.features, part.tallies = self.comment_index, dict(self.features), {}
         part.groups = tuple((r, ix[:bisect_left(ix, m)]) for r, ix in self.groups if ix[0] < m)
+        part.id_order = _id_order(part.groups)
         return part
 
     def feature(
@@ -230,10 +252,14 @@ class History(tuple):
                MethodId.RC_CS: (method, table, stopwords)}.get(method, method)
         built = self.features.get(key)
         if built is None:
-            kind = {MethodId.FP_HD: PathCodes, MethodId.RC_CS: VectorRows,
-                    REVFINDER: PathOverlaps}.get(method, TokenPostings)
             holders = self.keys[_FIELD[method]][0]
-            built = self.features[key] = kind([_compared(method, r, table, stopwords) for r in holders])
+            if method is MethodId.RC_CS:
+                comments = [preprocess_comment(r.comment, stopwords) for r in holders]
+                built = VectorRows(comment_vectors(comments, _required(table)))
+            else:
+                kind = {MethodId.FP_HD: PathCodes, REVFINDER: PathOverlaps}.get(method, TokenPostings)
+                built = kind([_compared(method, r, table, stopwords) for r in holders])
+            self.features[key] = built
         return built
 
     def scores(
@@ -247,7 +273,14 @@ class History(tuple):
         ``past`` per distinct key of the method's field, in ``keys`` order,
         as the same doubles, from one array pass over ``feature``."""
         built = self.feature(method, table, stopwords)
-        compared, n = _compared(method, query, table, stopwords), len(self.keys[_FIELD[method]][0])
+        n = len(self.keys[_FIELD[method]][0])
+        if method is MethodId.RC_CS:
+            # A comment of the run's History (a prefix shares its index)
+            # has its vector among the rows already.
+            row = self.comment_index.get(query.comment, len(built.rows))
+            if row < len(built.rows):
+                return built.cosine(built.rows[row], n)
+        compared = _compared(method, query, table, stopwords)
         if method is MethodId.FP_HD:
             return built.adapted_hamming(compared, n)
         return (built.cosine if method is MethodId.RC_CS else built.jaccard)(compared, n)
@@ -382,24 +415,56 @@ def _path_overlap_scores(p: str, q: str) -> tuple[float, float, float, float]:
     )
 
 
+def _reviewer_sums(history: History, field: str, values: np.ndarray) -> np.ndarray:
+    """Reviewer (columns, in ``groups`` order) sums of the rows of
+    ``values``, each a non-negative value per distinct key of ``field``:
+    the math.fsum of a reviewer's records' values, as the same doubles.
+
+    Each non-zero value is m·2**e with 0.5 <= m < 1 (``np.frexp``) and
+    e_min <= e <= e_max, so it is a multiple of 2**(e_min - 53). Cut at
+    the grid g = 2**(e_min - 26), it is ``high``, a multiple of g below
+    2**e_max, plus ``low``, a multiple of 2**(e_min - 53) below g: in those
+    units, integers below 2**(e_max - e_min + 26) and 2**27. A reviewer of
+    n_r records sums n_r of each, so while 27 + (e_max - e_min) +
+    bit_length(n_r) <= 53 every partial sum of ``high @ counts.T`` and of
+    ``low @ counts.T`` is an integer below 2**53 in its unit, exact in any
+    order, and their one IEEE addition rounds the exact total as math.fsum
+    does. Where that fails, ``_record_fsums`` sums them."""
+    counts = history.counts(field)
+    nonzero = values[values > 0]
+    if not len(nonzero):
+        return np.zeros((len(values), len(counts)))
+    exponents = np.frexp(nonzero)[1]
+    e_min, e_max = int(exponents.min()), int(exponents.max())
+    largest = max(len(ix) for _, ix in history.groups)
+    if 27 + e_max - e_min + largest.bit_length() <= 53:
+        high = np.ldexp(np.floor(np.ldexp(values, 26 - e_min)), e_min - 26)
+        return high @ counts.T + (values - high) @ counts.T
+    return _record_fsums(history, field, values)
+
+
+def _record_fsums(history: History, field: str, values: np.ndarray) -> np.ndarray:
+    """``_reviewer_sums`` one record at a time: each reviewer's math.fsum
+    of its records' values."""
+    per_record = values[:, history.positions[field]].tolist()
+    return np.array([[math.fsum([row[i] for i in ix]) for _, ix in history.groups] for row in per_record])
+
+
 def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) -> RecommendationList:
     """File-path baseline: four per-component reviewer rankings merged by
     Borda count.
 
-    For each component, per-record scores sum onto reviewers and the
-    reviewers are ranked (ties lexicographic). A reviewer at 0-based rank
-    i in a component list of n reviewers earns n - i points, so the top
-    reviewer gets n and the last gets 1; final ranking is by total points.
+    For each component, per-record scores sum onto reviewers
+    (``_reviewer_sums``) and the reviewers are ranked (ties lexicographic).
+    A reviewer at 0-based rank i in a component list of n reviewers earns
+    n - i points, so the top reviewer gets n and the last gets 1; final
+    ranking is by total points (ties lexicographic).
     """
     history = History(history)
     overlaps = history.feature(REVFINDER).overlaps(query.file_path, len(history.keys["file_path"][0]))
-    borda: dict[str, float] = {}
-    for component in overlaps[:, history.positions["file_path"]].tolist():
-        ranking = _rank(history.groups, component)
-        n = len(ranking)
-        for idx, (reviewer, _) in enumerate(ranking):
-            borda[reviewer] = borda.get(reviewer, 0.0) + (n - idx)
-
-    return RecommendationList(
-        entries=_ranked_entries(borda), query_ref=(query.change_id, query.patch_id)
-    )
+    totals = _reviewer_sums(history, "file_path", overlaps)
+    order = np.lexsort((np.broadcast_to(history.id_order, totals.shape), -totals), axis=-1)
+    borda = (totals.shape[1] - order.argsort(axis=-1)).sum(axis=0)
+    reviewers = [reviewer for reviewer, _ in history.groups]
+    entries = tuple((reviewers[r], float(borda[r])) for r in np.lexsort((history.id_order, -borda)))
+    return RecommendationList(entries=entries, query_ref=(query.change_id, query.patch_id))

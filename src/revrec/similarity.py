@@ -11,8 +11,12 @@ whose pairwise sum of a row alone equals that row's sum in an axis-1
 reduction. ``PathOverlaps.overlaps`` gives REVFINDER's common prefix,
 suffix, substring and subsequence of one query path and many paths in
 one pass, from one bit-vector of all the paths (the scalar reference is
-``recommender._path_overlap_scores``). Given ``n``, a batched form scores
-only its first ``n`` keys, as the same doubles as an index of those keys
+``recommender._path_overlap_scores``). It takes the prefix and suffix
+first: a path whose prefix or suffix with the query spans the shorter of
+the two has that length as its longest common substring, so the
+substring levels skip it, and the run lengths of the rest are read from
+a few bit-planes of the levels. Given ``n``, a batched form scores only
+its first ``n`` keys, as the same doubles as an index of those keys
 alone would.
 """
 
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, Sequence
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -159,7 +165,7 @@ class PathOverlaps:
         codes[self.starts[1:] - 1] = -1
         self.masks = {c: _pack(codes == ord(c)) for c in set().union(*paths)}
         self.full = _pack(codes >= 0)
-        width = int(self.lengths.max())
+        width = max(int(self.lengths.max()), 1)  # one padded column if all are empty
         self.rows = np.full((2, len(paths), width), -1, dtype=np.int32)
         for k, path in enumerate(paths):
             self.rows[0, k, :len(path)] = _code_points(path)
@@ -172,8 +178,7 @@ class PathOverlaps:
         len(p))``, or 0.0 where both are empty."""
         lengths, starts = self.lengths[:n], self.starts[:n]
         top = int(self.starts[n])
-        cut = (1 << top) - 1
-        full = self.full & cut
+        full = self.full & ((1 << top) - 1)
         masks = [self.masks.get(a, 0) for a in path]
         # Longest common subsequence (Hyyrö 2004): after a query prefix,
         # the clear bits of path k's segment of ``v`` count its LCS with
@@ -184,28 +189,39 @@ class PathOverlaps:
             u = v & mask
             v = ((v + u) | (v - u)) & full
         subsequence = lengths - np.add.reduceat(_bits([v], top)[0], starts, dtype=np.int64)
+        codes = _code_points(path)
+        prefix = _first_mismatch(self.rows[0, :n], codes)
+        suffix = _first_mismatch(self.rows[1, :n], codes[::-1])
+        # A path whose common prefix or suffix with the query is as long as
+        # the shorter of the two has that length as its longest common
+        # substring: equal paths, a path that starts or ends the other, and
+        # empty paths. The substring levels skip their segments: few paths
+        # are decided, but a query's own path would reach the deepest level.
+        shorter = np.minimum(lengths, len(path))
+        decided = np.maximum(prefix, suffix) == shorter
+        keep = _pack(np.repeat(~decided, lengths + 1))
         # Longest common substring: after query character i, bit j of
         # levels[L - 1] is set where a common substring of length at least
         # L ends at i and j, and hits[L - 1] is the union of that level over
         # all i. Each level lies within the one below, so the number of
         # hits that hold bit j is the longest common substring ending at j.
-        levels, hits = [], []
+        levels, hits = [], [0] * len(path)
         for mask in masks:
-            grown, level = [], mask & cut
-            for below in levels:
+            mask &= keep
+            grown, level = [], mask
+            for below in (*levels, 0):  # one level above the last can grow, none above it
                 if not level:
                     break
+                hits[len(grown)] |= level
                 grown.append(level)
                 level = (below << 1) & mask
-            if level:
-                grown.append(level)
-            hits = [h | g for h, g in zip(hits, grown)] + hits[len(grown):] + grown[len(hits):]
             levels = grown
-        runs = _bits(hits, top).sum(axis=0, dtype=np.int64)
-        substring = np.maximum.reduceat(runs, starts)
-        codes = _code_points(path)
-        prefix = _first_mismatch(self.rows[0, :n], codes)
-        suffix = _first_mismatch(self.rows[1, :n], codes[::-1])
+        # Bit b of a run length c is the parity of the number of multiples t
+        # of 2**b with c >= t, that is, of the hits[t - 1] that hold the bit.
+        depth = sum(map(bool, hits))  # the non-empty hits come first
+        planes = [reduce(xor, hits[(1 << b) - 1:depth:1 << b]) for b in range(depth.bit_length())]
+        runs = (1 << np.arange(len(planes))) @ _bits(planes, top)
+        substring = np.where(decided, shorter, np.maximum.reduceat(runs, starts))
         longer = np.maximum(np.maximum(lengths, len(path)), 1)  # all four are 0 where 0
         return np.array([prefix, suffix, substring, subsequence]) / longer
 

@@ -7,15 +7,18 @@ import string
 import numpy as np
 import pytest
 
-from conftest import random_table
+from conftest import make_record, random_table
 from revrec.embedding import (
     CommentVector,
     EmbeddingTable,
     comment_vector,
+    comment_vectors,
     load_embedding_table,
     save_embedding_table,
 )
 from revrec.errors import EmbeddingFormatError
+from revrec.recommender import History, MethodId
+from revrec.textprep import preprocess_comment
 
 
 def _write(tmp_path, text):
@@ -171,6 +174,8 @@ class TestCommentVector:
     def test_duplicates_weight_the_mean(self, tiny_table):
         result = comment_vector(["api", "api", "broken"], tiny_table)
         np.testing.assert_allclose(result.values, [2 / 3, 1 / 3, 0.0])
+        assert result.token_coverage == 1.0
+        assert comment_vector(["api", "api", "zzz"], tiny_table).token_coverage == 2 / 3
 
     def test_zero_coverage_iff_zero_vector(self):
         rng = random.Random(43)
@@ -186,3 +191,66 @@ class TestCommentVector:
             lo = min((min(v) for v in table.entries.values()), default=0.0)
             hi = max((max(v) for v in table.entries.values()), default=0.0)
             assert all(min(lo, 0.0) <= c <= max(hi, 0.0) for c in result.values)
+
+
+class TestCommentVectors:
+    def test_rows_equal_comment_vector_bit_for_bit(self):
+        # RC_CS's VectorRows are built in one pass, one np.mean per number
+        # of in-vocabulary tokens; each row must be the np.mean of the
+        # comment's own in-vocabulary vectors, and its comment_vector. A
+        # running sum, or np.add.reduceat, differs in the last bit on many
+        # of these draws, which ``seen`` counts.
+        rng = random.Random(151)
+        seen = dict.fromkeys(["dimension 1, 8+ tokens", "running sum differs", "reduceat differs",
+                              "-0.0 component", "duplicate tokens", "no token in vocabulary",
+                              "empty comment"], 0)
+        for trial in range(40):
+            dimension = [1, 2, 50, 300][trial % 4]
+            words = [f"w{i}" for i in range(12)]
+            table = EmbeddingTable(dimension, {word: np.array(
+                [rng.choice([-0.0, 0.0]) if rng.random() < 0.1 else rng.gauss(0, 1) * 10.0 ** rng.uniform(-5, 5)
+                 for _ in range(dimension)]) for word in words[:9]})
+            stopwords = rng.choice([None, frozenset({"w1", "the"})])
+            word = rng.choice(words[:9])
+            comments = ["", "42 !!", "zzq the zzr", word, f"{word} zzq {word}"] + [
+                " ".join(rng.choices(words + ["the", "7", "zzq", "w0."], k=rng.randint(0, 20)))
+                for _ in range(30)]
+            history = History([make_record(change_id=f"c{i}", comment=c) for i, c in enumerate(comments)])
+            rows = history.feature(MethodId.RC_CS, table, stopwords).rows
+            found = []
+            for record, row in zip(history.keys["comment"][0], rows.tolist()):
+                tokens = preprocess_comment(record.comment, stopwords)
+                vectors = [table.entries[t] for t in tokens if t in table]
+                want = np.mean(vectors, axis=0) if vectors else np.zeros(dimension)
+                assert [x.hex() for x in row] == [x.hex() for x in want.tolist()], record.comment
+                assert [x.hex() for x in comment_vector(tokens, table).values.tolist()] == [x.hex() for x in want.tolist()]
+                found.append(vectors)
+                seen["duplicate tokens"] += len(set(tokens)) < len(tokens)
+                seen["no token in vocabulary"] += bool(tokens) and not vectors
+                seen["empty comment"] += not tokens
+                if vectors:
+                    # np.mean sums from +0.0, so a component that is -0.0 in
+                    # every vector averages to +0.0, not to a copy's -0.0.
+                    stack = np.array(vectors)
+                    seen["-0.0 component"] += bool(np.all(np.signbit(stack) & (stack == 0), axis=0).any())
+                    running = vectors[0].copy()
+                    for vector in vectors[1:]:
+                        running += vector
+                    seen["running sum differs"] += not np.array_equal(running / len(vectors), want)
+                    seen["dimension 1, 8+ tokens"] += dimension == 1 and len(vectors) >= 8
+            kept = [vectors for vectors in found if vectors]
+            starts = np.cumsum([0] + [len(vectors) for vectors in kept[:-1]])
+            sums = np.add.reduceat(np.concatenate(kept), starts, axis=0)
+            means = [row for row, vectors in zip(rows, found) if vectors]
+            seen["reduceat differs"] += sum(not np.array_equal(total / len(vectors), mean)
+                                            for total, vectors, mean in zip(sums, kept, means))
+        assert all(seen.values()), seen
+
+    def test_non_finite_mean_raises_like_comment_vector(self):
+        table = EmbeddingTable(2, {"big": np.array([1e308, 1e308]), "ok": np.array([1.0, 2.0])})
+        with np.errstate(over="ignore"), pytest.raises(EmbeddingFormatError) as want:
+            comment_vector(["big", "big"], table)
+        with np.errstate(over="ignore"), pytest.raises(EmbeddingFormatError) as got:
+            comment_vectors([["ok"], ["big", "big"]], table)
+        assert str(got.value) == str(want.value)
+        np.testing.assert_array_equal(comment_vectors([["ok"], []], table), [[1.0, 2.0], [0.0, 0.0]])

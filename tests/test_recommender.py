@@ -11,6 +11,7 @@ import pytest
 
 import oracle
 import revrec.evaluation
+import revrec.recommender
 from conftest import BASE_TIME, SYNTH_VOCAB, make_record, random_records, random_table
 from revrec.corpus import Corpus
 from revrec.embedding import EmbeddingTable
@@ -32,6 +33,7 @@ from revrec.recommender import (
     _lcsubseq_len,
     _lcsubstr_len,
     _path_overlap_scores,
+    _reviewer_sums,
 )
 from revrec.similarity import PathOverlaps
 
@@ -415,6 +417,23 @@ class TestPrefixViews:
         assert all(seen.values()), seen
 
 
+    def test_features_a_prefix_builds_score_every_query_like_a_fresh_history(self):
+        # A prefix that builds a feature itself holds rows for its own keys
+        # only, while it shares the whole's index of later keys; a query
+        # whose comment is one of those is scored from its own vector.
+        rng = random.Random(157)
+        hist = repeated_key_history(rng)
+        table = float_table(rng, 7)
+        whole = History(hist)
+        for m in (1, len(hist) // 2, len(hist)):
+            part, fresh = whole.prefix(m), History(hist[:m])
+            for query in hist:
+                for method in MethodId:
+                    got = part.scores(query, method, table).tolist()
+                    want = fresh.scores(query, method, table).tolist()
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (m, method, query)
+
+
 class TestCommentVectorCache:
     def test_tables_never_share_an_entry(self):
         # Same words, different vectors: a cache keyed on the comment
@@ -436,18 +455,25 @@ class TestCommentVectorCache:
 
 class TestRankSelection:
     def test_union_columns_rank_every_subset_like_recommend(self):
+        # recommend's columns hold one score per distinct key; expanded to
+        # one per record through History.positions, they rank every
+        # sub-selection as recommend ranks it alone.
         rng = random.Random(61)
         for trial in range(10):
-            hist = random_records(random.Random(300 + trial), rng.randint(1, 20))
+            hist = repeated_key_history(random.Random(300 + trial))
+            history = History(hist)
             table = random_table(rng)
             query = random_records(rng, 1)[0]
-            union = recommend(query, hist, frozenset(MethodId), table=table)
+            union = recommend(query, history, frozenset(MethodId), table=table)
             assert list(union.columns) == list(MethodId)
-            assert all(len(column) == len(hist) for column in union.columns.values())
+            per_record = {}
+            for method, column in union.columns.items():
+                assert len(column) == len(history.keys[_FIELD[method]][0]) < len(hist)
+                per_record[method] = column[history.positions[_FIELD[method]]].tolist()
             for selection in ALL_SELECTIONS:
-                ranked = rank_selection(History(hist).groups, union.columns, selection, union.query_ref)
+                ranked = rank_selection(history.groups, per_record, selection, union.query_ref)
                 assert ranked.entries == recommend(query, hist, selection, table=table).entries
-                assert ranked.columns is union.columns
+                assert ranked.columns is per_record
 
     def test_group_sums_equal_per_record_fsum_means(self):
         # Columns on a coarse grid tie often; the reference takes the mean
@@ -522,16 +548,39 @@ class TestRevFinder:
             assert _lcsubstr_len(p, q) == oracle.lcsubstr_len(p, q), (p, q)
         # The multi-target form: each query against the first n paths of
         # one packed PathOverlaps, as the same doubles as one pair at a time.
-        seen = {"one path": 0, "strict cut": 0, "longer than 64": 0}
-        for trial in range(30):
+        # A path whose common prefix or suffix with the query spans the
+        # shorter of the two skips the substring levels, so each such
+        # relation, duplicates and the empty path must occur.
+        seen = dict.fromkeys(["one path", "strict cut", "longer than 64", "query equals a path",
+                              "query starts a path", "query ends a path", "path starts the query",
+                              "path ends the query", "duplicate paths", "empty path",
+                              "all paths empty"], 0)
+        for trial in range(40):
             paths = [path(90) for _ in range(1 if trial % 5 == 0 else rng.randint(2, 7))]
+            if trial == 0:
+                paths = [""]
+            if trial % 3 == 1:
+                paths.insert(rng.randrange(len(paths) + 1), rng.choice(paths))
+            if trial % 4 == 2:
+                paths.insert(rng.randrange(len(paths) + 1), "")
             overlaps = PathOverlaps(paths)
-            queries = [rng.choice(paths), path(90), "QZ#" * rng.randint(1, 30), ""]
+            base = rng.choice([p for p in paths if p] or ["ab"])
+            cut = rng.randint(1, max(1, len(base) - 1))
+            queries = [rng.choice(paths), path(90), "QZ#" * rng.randint(1, 30), "",
+                       base[:cut], base[cut:], base + path(8), path(8) + base]
             for query in queries:
                 n = rng.randint(1, len(paths))
                 got = overlaps.overlaps(query, n)
                 assert got.shape == (4, n)
                 for past, column in zip(paths, got.T.tolist()):
+                    if query and past:
+                        seen["query equals a path"] += query == past
+                        seen["query starts a path"] += past.startswith(query) and query != past
+                        seen["query ends a path"] += past.endswith(query) and query != past
+                        seen["path starts the query"] += query.startswith(past) and query != past
+                        seen["path ends the query"] += query.endswith(past) and query != past
+                    seen["duplicate paths"] += paths[:n].count(past) > 1
+                    seen["empty path"] += not past
                     longer = max(len(query), len(past), 1)
                     dps = [oracle.lcp_len(query, past), oracle.lcsuffix_len(query, past),
                            oracle.lcsubstr_len(query, past), oracle.lcsubseq_len(query, past)]
@@ -540,6 +589,7 @@ class TestRevFinder:
                 seen["one path"] += len(paths) == 1
                 seen["strict cut"] += n < len(paths)
                 seen["longer than 64"] += max(map(len, [query, *paths[:n]])) > 64
+                seen["all paths empty"] += not any(paths)
         assert all(seen.values()), seen
 
     def test_six_record_borda_oracle(self):
@@ -572,6 +622,138 @@ class TestRevFinder:
         shuffled = hist[:]
         rng.shuffle(shuffled)
         assert revfinder_recommend(q, shuffled) == baseline
+
+
+    def test_tie_heavy_corpora_match_oracle(self):
+        # Most reviewers hold the same multiset of paths, so their component
+        # sums tie exactly, and so do their Borda points.
+        rng = random.Random(139)
+        pool = ["nova/api/a.py", "nova/api/b.py", "nova/db/api.py", "db/a.py", "a.py", "nova/api"]
+        seen = {"shared multisets": 0, "Borda ties": 0}
+        for trial in range(30):
+            shared = rng.choices(pool, k=rng.randint(1, 4))
+            hist = []
+            for r in range(rng.randint(2, 14)):
+                held = shared if rng.random() < 0.7 else rng.choices(pool, k=rng.randint(1, 4))
+                hist += [make_record(change_id=f"c{r}.{i}", file_path=path, reviewer_id=f"rev{r:02d}")
+                         for i, path in enumerate(rng.sample(held, len(held)))]
+            rng.shuffle(hist)
+            query = make_record(change_id="q", file_path=rng.choice(pool + ["ui/x.py"]))
+            got = list(revfinder_recommend(query, hist).entries)
+            assert got == oracle.revfinder(query, hist)
+            by_reviewer: dict[str, list[str]] = {}
+            for record in hist:
+                by_reviewer.setdefault(record.reviewer_id, []).append(record.file_path)
+            multisets = [tuple(sorted(paths)) for paths in by_reviewer.values()]
+            seen["shared multisets"] += len(multisets) - len(set(multisets))
+            seen["Borda ties"] += sum(a[1] == b[1] for a, b in zip(got, got[1:]))
+        assert seen["shared multisets"] > 100 and seen["Borda ties"], seen
+
+
+def grouped_history(rng, sizes, paths):
+    """Reviewer i holds sizes[i] records, each on a random one of paths."""
+    records = [make_record(change_id=f"c{i}.{j}", file_path=rng.choice(paths), reviewer_id=f"rev{i:02d}")
+               for i, size in enumerate(sizes) for j in range(size)]
+    rng.shuffle(records)
+    return History(records)
+
+
+def last_bit_apart(rng):
+    """Values a / n, b / n and (a + b) / n whose first two sum, exactly
+    rounded, to one ulp from the third."""
+    while True:
+        n = rng.randint(3, 60)
+        a = rng.randint(1, n - 2)
+        b = rng.randint(1, n - 1 - a)
+        pair = math.fsum([a / n, b / n])
+        if (a + b) / n in (math.nextafter(pair, 0.0), math.nextafter(pair, 2.0)):
+            return a / n, b / n, (a + b) / n
+
+
+class TestReviewerSums:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The values that _reviewer_sums sent to the per-record fallback."""
+        calls = []
+        inner = revrec.recommender._record_fsums
+
+        def counting(history, field, values):
+            calls.append(values)
+            return inner(history, field, values)
+
+        monkeypatch.setattr(revrec.recommender, "_record_fsums", counting)
+        return calls
+
+    @staticmethod
+    def check(history, values):
+        """Assert that each reviewer's sum is the math.fsum of its records'
+        values, by .hex(); return the reference sums."""
+        got = _reviewer_sums(history, "file_path", values)
+        assert got.shape == (len(values), len(history.groups))
+        want = [[math.fsum(row[list(ix)].tolist()) for _, ix in history.groups]
+                for row in values[:, history.positions["file_path"]]]
+        assert [[x.hex() for x in row] for row in got.tolist()] == [[x.hex() for x in row] for row in want]
+        return want
+
+    def test_sums_equal_fsum_over_each_reviewers_records(self, fallbacks):
+        # Overlap-like values k / L over a few lengths L: sums of different
+        # records often meet in the reals and part in the last bit
+        # (0.1 + 0.2 against 0.3), which the exact sums must keep.
+        rng = random.Random(137)
+        seen = dict.fromkeys(["group of 1", "group of 10,000", "last-bit apart", "equal"], 0)
+        for trial in range(12):
+            sizes = [1, 10_000 if trial % 3 == 0 else rng.randint(2, 300)]
+            sizes += [rng.randint(1, 40) for _ in range(rng.randint(2, 20))]
+            paths = [f"p{k}.py" for k in range(rng.randint(1, 40))]
+            # revx holds x1 and x2 and revy holds y, whose values make
+            # revx's sum one ulp away from revy's in every row.
+            extra = [make_record(change_id=f"e{i}", file_path=path, reviewer_id=reviewer)
+                     for i, (path, reviewer) in enumerate([("x1", "revx"), ("x2", "revx"), ("y", "revy")])]
+            history = History(list(grouped_history(rng, sizes, paths)) + extra)
+            lengths = rng.sample([3, 5, 7, 10, 12, 20, 30, 60], 3)
+
+            def overlap():
+                length = rng.choice(lengths)
+                return rng.randint(0, length) / length
+
+            values = np.array([[overlap() for _ in history.keys["file_path"][0]] for _ in range(4)])
+            where = [r.file_path for r in history.keys["file_path"][0]]
+            for row in values:
+                row[[where.index("x1"), where.index("x2"), where.index("y")]] = last_bit_apart(rng)
+            for row in self.check(history, values):
+                ordered = sorted(set(row))
+                seen["last-bit apart"] += sum(math.nextafter(a, 2.0) == b for a, b in zip(ordered, ordered[1:]))
+                seen["equal"] += len(row) - len(ordered)
+            seen["group of 1"] += 1 in map(len, (ix for _, ix in history.groups))
+            seen["group of 10,000"] += 10_000 in map(len, (ix for _, ix in history.groups))
+        assert all(seen.values()), seen
+        assert not fallbacks
+
+    def test_long_paths_fall_back_to_per_record_fsum(self, fallbacks):
+        # A query equal to a path of 5,000 characters scores 1.0 against it
+        # and 1/5,000 (binary exponent -12) against "a", so with a group of
+        # 10,000 records (14 bits) the grid bound 27 + 13 + 14 > 53 fails,
+        # and the query is summed record by record; so is one equal to a
+        # path of 4,000 characters with a group of 20,000.
+        rng = random.Random(149)
+        for longest, big in ((5_000, 10_000), (4_000, 20_000)):
+            long_path = "".join(rng.choices("ab/", k=longest))
+            paths = ["".join(rng.choices("ab/", k=rng.randint(1, longest))) for _ in range(5)]
+            paths += [long_path, long_path[:-1], "a"]
+            history = grouped_history(rng, [big, 1, rng.randint(2, 50), rng.randint(2, 50)], paths)
+            keys = [r.file_path for r in history.keys["file_path"][0]]
+            overlaps = PathOverlaps(keys)
+            for query in (long_path, rng.choice(paths), "b" * longest):
+                before = len(fallbacks)
+                self.check(history, overlaps.overlaps(query, len(keys)))
+                if query == long_path:
+                    assert len(fallbacks) == before + 1
+        # The same paths under a 10-record group fit the grid.
+        history = grouped_history(rng, [10, 1, 3], paths)
+        keys = [r.file_path for r in history.keys["file_path"][0]]
+        before = len(fallbacks)
+        self.check(history, PathOverlaps(keys).overlaps(long_path, len(keys)))
+        assert len(fallbacks) == before
 
 
 class TestRecommendationList:
