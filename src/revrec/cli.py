@@ -39,10 +39,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def _load_table(args, selections) -> EmbeddingTable | None:
-    """The --embeddings table, read only when some selection holds RC_CS."""
-    needs_table = args.embeddings is not None and any(
-        s != REVFINDER and MethodId.RC_CS in s for s in selections)
-    return load_embedding_table(args.embeddings) if needs_table else None
+    """The --embeddings table, read only when some selection holds RC_CS,
+    which fails here, before any output, when no table is given."""
+    if not any(s != REVFINDER and MethodId.RC_CS in s for s in selections):
+        return None
+    if args.embeddings is None:
+        raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
+    return load_embedding_table(args.embeddings)
 
 
 def _load_stopwords(args) -> frozenset[str] | None:

@@ -9,15 +9,18 @@ weights; fixed sampling is the one-step case of the same loop. Every
 step's history is a ``prefix`` of one ``recommender.History`` per run,
 whose features (REVFINDER's included) are built once. Each query is
 scored once per needed method by one ``recommend`` call for the union of
-the similarity selections, and once by REVFINDER. Each is reduced within
-its query to the one number per query that ``topk_accuracy(ranks, k)``
-and ``mrr_at_k(ranks, k)`` read: ``first_correct_rank(ranking, truth) ->
-int | None``. Every other similarity selection gets that number from
-``SubSelections``, which bounds all reviewers' sums at once from count
-matrices and sums exactly only where the bounds cannot decide, with no
-ranking made. Reports are deterministic byte-for-byte for a given corpus
-and config. Evaluation runs serially; the ``jobs`` argument is accepted
-and has no effect.
+the similarity selections. Its ranking is reduced within the query to
+the one number per query that ``topk_accuracy(ranks, k)`` and
+``mrr_at_k(ranks, k)`` read: ``first_correct_rank(ranking, truth) ->
+int | None``. Every other selection gets that number for a block of a
+step's queries at once, with no ranking made: the similarity selections
+from ``SubSelections``, which bounds all reviewers' sums for the block
+from count matrices and sums exactly only where the bounds cannot
+decide, and REVFINDER from the Borda points of each distinct query path
+(``recommender.revfinder_points``). A block keeps only its queries'
+union columns, up to a fixed number of cells. Reports are deterministic
+byte-for-byte for a given corpus and config. Evaluation runs serially;
+the ``jobs`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from .recommender import (
     _is_method_set,
     _mean,
     recommend,
-    revfinder_recommend,
+    revfinder_points,
+    revfinder_recommend,  # not called here; bench/child.py wraps this name
     selection_label,
 )
 
@@ -158,11 +162,20 @@ _UNIT = 2.0 ** -53
 _TINY = 2.0 ** -1070
 
 
+def _truth_mask(history: History, truths: Sequence[Collection[str]]) -> np.ndarray:
+    """Queries × reviewers (in ``history.groups`` order): where a reviewer
+    is one of the query's truth reviewers."""
+    index = {reviewer: r for r, (reviewer, _) in enumerate(history.groups)}
+    mine = np.zeros((len(truths), len(index)), dtype=bool)
+    mine.flat[[q * len(index) + index[t] for q, truth in enumerate(truths) for t in truth if t in index]] = True
+    return mine
+
+
 class SubSelections:
     """First correct ranks of several similarity selections in one step's
-    history, from one query's normalized distinct-key scores (the
-    ``columns`` of ``recommend`` for a union of them), equal to those of
-    the rankings ``rank_selection`` makes from the same scores.
+    history, for a block of queries from each one's normalized distinct-key
+    scores (the ``columns`` of ``recommend`` for a union of them), equal to
+    those of the rankings ``rank_selection`` makes from the same scores.
 
     A reviewer's exact score under a selection of p methods is
     T = fsum over its records of that record's mean (``recommender._mean``).
@@ -172,11 +185,10 @@ class SubSelections:
     of n_r records, with u = 2**-53 and η = 2**-1075 the largest error of
     a rounding below the normal range (addition below it is exact).
 
-    The filter's approximation takes S[m] = counts(field(m)) @ column[m]
-    per reviewer, then A = W @ S with weights fl(1/p). S[m] sums at most
-    n_r non-zero products of an integer count and a non-negative score;
-    in any order, with or without fused multiply-adds, each term carries
-    at most n_r roundings. The weight, the product by it and the sum of
+    The filter's approximation takes S[m], the float sum of column[m]
+    over each reviewer's records (``History.group_sums``), then A = W @ S
+    with weights fl(1/p). S[m] sums n_r non-negative scores; in any
+    order, each term carries at most n_r roundings. The weight, the product by it and the sum of
     at most four terms add five more, so
     ``|A - X| <= γ(n_r + 5)·X + (n_r + 4)·η`` (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, ch. 3-4; γ(k) = k·u / (1 - k·u)).
@@ -190,13 +202,14 @@ class SubSelections:
     interval meets the best truth reviewer's get their exact T (``exact``),
     and are then ordered by (-T, reviewer id) against it (Shewchuk's
     filtered exact pattern, Discrete Comput. Geom. 18, 1997). T is 0
-    exactly when every selected S is 0: every count is at least 1, so S
-    is 0 only if each of the reviewer's scores is. Zeros are decided from
+    exactly when every selected S is 0: a float sum of non-negative terms
+    is 0 only if each term is. Zeros are decided from
     S, not A, because a third of a subnormal S can round to 0; two such
     reviewers tie and are ordered by id without ``exact``.
 
-    The history's reviewers, their ids' order and its count matrices are
-    read once, when the object is made for a step.
+    The history's reviewers and their ids' order are read once, when the
+    object is made for a step; each block's arrays are queries ×
+    selections × reviewers.
     """
 
     def __init__(self, history: History, selections: Sequence[frozenset]):
@@ -204,81 +217,110 @@ class SubSelections:
         self.methods = [m for m in MethodId if any(m in s for s in self.selections)]
         self.weights = np.array([[1 / len(s) if m in s else 0.0 for m in self.methods]
                                  for s in self.selections])
-        self.counts = [history.counts(_FIELD[m]) for m in self.methods]
-        self.index = {reviewer: r for r, (reviewer, _) in enumerate(history.groups)}
         self.id_order = history.id_order
         slack = np.array([len(ix) for _, ix in history.groups]) + 16.0
         self.relative, self.absolute = 4 * _UNIT * slack, slack * _TINY
 
     def exact(self, columns, selection: frozenset, r: int) -> float:
-        """Reviewer ``r``'s score under ``selection``, as ``rank_selection``
-        computes it: the math.fsum of its records' means."""
+        """Reviewer ``r``'s score under ``selection`` for one query's
+        ``columns``, as ``rank_selection`` computes it: the math.fsum of its
+        records' means."""
         records = np.asarray(self.history.groups[r][1], dtype=np.intp)
         positions = self.history.positions
         return math.fsum(_mean([columns[m][positions[_FIELD[m]][records]].tolist()
                                 for m in MethodId if m in selection]))
 
-    def bounds(self, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Selection × reviewer arrays: the ends of the interval that holds
-        each exact score, and where that score is surely 0 (both ends 0)."""
-        sums = np.array([c @ columns[m] for c, m in zip(self.counts, self.methods)])
+    def bounds(self, columns: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Query × selection × reviewer arrays for each query's ``columns``:
+        the ends of the interval that holds each exact score, and where
+        that score is surely 0 (both ends 0)."""
+        sums = np.empty((len(columns), len(self.methods), len(self.id_order)))
+        for i, m in enumerate(self.methods):
+            sums[:, i] = self.history.group_sums(_FIELD[m], np.array([c[m] for c in columns]))
         approx = self.weights @ sums
         error = self.relative * approx + self.absolute
         zero = ~((self.weights > 0) @ (sums > 0))
         return np.where(zero, 0.0, approx - error), np.where(zero, 0.0, approx + error), zero
 
-    def ranks(self, columns, truth: Collection[str]) -> list[int | None]:
-        """Each selection's first correct rank for ``truth``, or None for
-        all when no truth reviewer is in the history."""
-        truths = np.array(sorted(self.index[t] for t in truth if t in self.index), dtype=np.intp)
-        if not len(truths):
-            return [None] * len(self.selections)
+    def ranks(self, columns: Sequence, truths: Sequence[Collection[str]]) -> list[list[int | None]]:
+        """Per query, each selection's first correct rank for its truth
+        set, or None for all when no truth reviewer is in the history."""
+        mine = _truth_mask(self.history, truths)
+        found = mine.any(axis=1)
         lo, hi, zero = self.bounds(columns)
-        known: dict[tuple[int, int], float] = {}
+        known: dict[tuple[int, int, int], float] = {}
 
-        def order(s, r):
-            """Reviewer r's place under selection s: (-T, id order)."""
-            if not zero[s, r] and (s, r) not in known:
-                known[s, r] = self.exact(columns, self.selections[s], r)
-            return -known.get((s, r), 0.0), self.id_order[r]
+        def order(q, s, r):
+            """Reviewer r's place under selection s for query q: (-T, id order)."""
+            if not zero[q, s, r] and (q, s, r) not in known:
+                known[q, s, r] = self.exact(columns[q], self.selections[s], r)
+            return -known.get((q, s, r), 0.0), self.id_order[r]
 
         # The best truth reviewer is among those that no other truth
         # reviewer is surely ahead of.
-        maybe = hi[:, truths] >= lo[:, truths].max(axis=1, keepdims=True)
-        best = truths[maybe.argmax(axis=1)]
-        for s in np.flatnonzero(maybe.sum(axis=1) > 1):
-            best[s] = min(truths[maybe[s]], key=lambda r: order(s, r))
-        rows = np.arange(len(self.selections))
-        lo_best, hi_best = lo[rows, best][:, None], hi[rows, best][:, None]
-        ahead = np.count_nonzero(lo > hi_best, axis=1)
-        near = (lo <= hi_best) & (hi >= lo_best)
-        near[rows, best] = False
-        tied = near & zero & zero[rows, best][:, None]
-        ahead += np.count_nonzero(tied & (self.id_order < self.id_order[best][:, None]), axis=1)
-        for s, r in zip(*np.nonzero(near & ~tied)):
-            ahead[s] += order(s, r) < order(s, best[s])
-        return (ahead + 1).tolist()
+        mine = mine[:, None]
+        maybe = mine & (hi >= np.where(mine, lo, -np.inf).max(axis=-1, keepdims=True))
+        best = maybe.argmax(axis=-1)
+        for q, s in zip(*np.nonzero(maybe.sum(axis=-1) > 1)):
+            best[q, s] = min(np.flatnonzero(maybe[q, s]), key=lambda r: order(q, s, r))
+        at = (np.arange(len(columns))[:, None], np.arange(len(self.selections)), best)
+        lo_best, hi_best = lo[at][..., None], hi[at][..., None]
+        ahead = (lo > hi_best).sum(axis=-1)
+        near = (lo <= hi_best) & (hi >= lo_best) & found[:, None, None]
+        near[at] = False
+        tied = near & zero & zero[at][..., None]
+        ahead += (tied & (self.id_order < self.id_order[best][..., None])).sum(axis=-1)
+        for q, s, r in zip(*np.nonzero(near & ~tied)):
+            ahead[q, s] += order(q, s, r) < order(q, s, best[q, s])
+        return [(row + 1).tolist() if f else [None] * len(self.selections) for row, f in zip(ahead, found)]
 
 
-def _query_ranks(query, truth, history, methods, union, others, table, stopwords) -> list[int | None]:
-    """Each configured selection's first correct rank for one query. The
-    query is scored once for the similarity selections' union and once by
-    REVFINDER if configured; the union's rank comes from ``recommend``'s
-    ranking, and every other selection's from ``others`` (a
-    ``SubSelections`` of the step) over the union's columns. No ranking
-    outlives the call."""
-    # Called through this module's ``recommend`` name: the benchmark
-    # (bench/child.py) wraps ``evaluation.recommend`` to time these
-    # calls, and tests/test_bench_contract.py fails when it times none.
-    ranks = {}
+def _revfinder_ranks(queries: Sequence[ReviewRecord], truths, history: History) -> list[int | None]:
+    """REVFINDER's first correct rank for each query: 1 + the number of
+    reviewers whose (-points, id order) key is below that of its best
+    truth reviewer, with the points of each distinct query path computed
+    once (``revfinder_points``)."""
+    rows = {path: p for p, path in enumerate(dict.fromkeys(q.file_path for q in queries))}
+    points = revfinder_points(list(rows), history)[[rows[q.file_path] for q in queries]]
+    keys = history.id_order - len(history.groups) * points  # distinct integers, best lowest
+    mine = _truth_mask(history, truths)
+    best = np.where(mine, keys, np.inf).min(axis=1, keepdims=True)
+    ahead = (keys < best).sum(axis=1)
+    return [int(a) + 1 if f else None for a, f in zip(ahead, mine.any(axis=1))]
+
+
+def _block_ranks(queries, truths, history, methods, union, others, table, stopwords) -> list[list[int | None]]:
+    """Each configured selection's first correct rank for each query of a
+    block. Each query is scored once for the similarity selections' union
+    by ``recommend``, whose ranking gives the union's rank; every other
+    similarity selection is ranked for the whole block by ``others`` (a
+    ``SubSelections`` of the step) over the union's columns, and
+    REVFINDER, if configured, by ``_revfinder_ranks``."""
+    ranks: list[dict] = [{} for _ in queries]
     if union:
-        scored = recommend(query, history, union, table, stopwords)
-        ranks[union] = first_correct_rank(scored, truth)
+        columns = []
+        for query_ranks, query, truth in zip(ranks, queries, truths):
+            # Called through this module's ``recommend`` name: the benchmark
+            # (bench/child.py) wraps ``evaluation.recommend`` to time these
+            # calls, and tests/test_bench_contract.py fails when it times none.
+            scored = recommend(query, history, union, table, stopwords)
+            query_ranks[union] = first_correct_rank(scored, truth)
+            columns.append(scored.columns)
+            del scored  # no ranking outlives its query
         if others.selections:
-            ranks.update(zip(others.selections, others.ranks(scored.columns, truth)))
+            for query_ranks, row in zip(ranks, others.ranks(columns, truths)):
+                query_ranks.update(zip(others.selections, row))
     if REVFINDER in methods:
-        ranks[REVFINDER] = first_correct_rank(revfinder_recommend(query, history), truth)
-    return [ranks[selection] for selection in methods]
+        for query_ranks, rank in zip(ranks, _revfinder_ranks(queries, truths, history)):
+            query_ranks[REVFINDER] = rank
+    return [[query_ranks[selection] for selection in methods] for query_ranks in ranks]
+
+
+# The most cells that one block of a step's queries keeps: per query, the
+# union's columns hold one per distinct key of each method's field, and
+# REVFINDER's overlaps four per distinct path. This bounds a block's
+# memory at any corpus size.
+_BLOCK_CELLS = 1 << 17
 
 
 def _score_steps(
@@ -289,9 +331,10 @@ def _score_steps(
     stopwords: frozenset[str] | None,
 ) -> tuple[ReportRow, ...]:
     """Reduce every query of every (m, validation) step to each configured
-    selection's first correct rank against the first m ``records``, and
-    average each metric over the steps with equal weights. The union's
-    and REVFINDER's features are built once, before the first query."""
+    selection's first correct rank against the first m ``records``, a
+    block of queries at a time, and average each metric over the steps
+    with equal weights. The union's and REVFINDER's features are built
+    once, before the first query."""
     union = frozenset().union(*(s for s in config.methods if s != REVFINDER))
     others = [s for s in dict.fromkeys(config.methods) if s not in (union, REVFINDER)]
     whole = History(records)
@@ -306,8 +349,15 @@ def _score_steps(
         truths: dict[str, set[str]] = {}
         for record in validation:
             truths.setdefault(record.change_id, set()).add(record.reviewer_id)
-        ranks.append([_query_ranks(query, truths[query.change_id], history, config.methods,
-                                   union, step_others, table, stopwords) for query in validation])
+        width = {f: len(keys) for f, (keys, _) in history.keys.items()}
+        cells = sum(width[_FIELD[m]] for m in union) + 4 * width["file_path"] * (REVFINDER in config.methods)
+        block = max(1, _BLOCK_CELLS // cells)
+        step_ranks = []
+        for start in range(0, len(validation), block):
+            queries = validation[start:start + block]
+            step_ranks += _block_ranks(queries, [truths[q.change_id] for q in queries], history,
+                                       config.methods, union, step_others, table, stopwords)
+        ranks.append(step_ranks)
     rows = []
     for position, selection in enumerate(config.methods):
         # A selection configured twice gets two row groups.

@@ -11,13 +11,15 @@ evaluation's filter (``evaluation.SubSelections``) finds first correct
 ranks from the distinct-key scores as they are.
 ``revfinder_recommend`` is the file-path-only baseline: four string-overlap
 scores per record, summed per reviewer into four rankings that are merged
-by Borda count. The overlaps are exact integer kernels over all distinct
-paths at once (``similarity.PathOverlaps``); ``_path_overlap_scores`` is
-their one-pair reference. The reviewer sums come from the distinct paths'
-overlaps and the reviewer × path count matrix, split at a grid that makes
-both matrix products exact (``_reviewer_sums``), so they are the doubles
-a math.fsum over each reviewer's records gives; the four rankings and the
-Borda points are array sorts and sums.
+by Borda count. ``revfinder_points`` gives those points for queries on
+several paths at once, and ``revfinder_recommend`` is its one-path case.
+The overlaps are exact integer kernels over all distinct paths at once
+(``similarity.PathOverlaps``); ``_path_overlap_scores`` is their one-pair
+reference. The reviewer sums come from the distinct paths' overlaps,
+split at a grid per query path that makes both sums over each
+reviewer's records exact (``_reviewer_sums``), so they are the doubles
+a math.fsum over each reviewer's records gives; the four rankings and
+the Borda points are array sorts and sums over all the query paths.
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
@@ -27,8 +29,8 @@ method's (or the baseline's) features of the distinct keys (see
 ``similarity``), so that each method scores as one array pass per query,
 with the same doubles as ``method_score``. ``History.prefix`` cuts all of
 these from a longer history instead of building them again;
-``History.counts``, the reviewer × key count matrices of evaluation's
-filter and of the baseline's sums, belongs to one History.
+``History.group_sums``, which sums per-key values onto reviewers for
+evaluation's filter and the baseline's sums, belongs to one History.
 ``recommend`` and ``rank_selection`` rank reviewers with ``_rank``: one
 math.fsum per reviewer group, ties by reviewer id.
 
@@ -202,7 +204,7 @@ class History(tuple):
     the key), built in one pass (``embedding.comment_vectors``). Until
     then a key that a method cannot score raises nothing, so a history
     whose paths have no tokens still serves the comment methods.
-    ``counts`` likewise builds each field's reviewer × key count matrix on
+    ``group_sums`` likewise orders each field's keys by reviewer group on
     first use. Two threads that race on a first use both build, and either
     equal result is kept."""
 
@@ -285,19 +287,19 @@ class History(tuple):
             return built.adapted_hamming(compared, n)
         return (built.cosine if method is MethodId.RC_CS else built.jaccard)(compared, n)
 
-    def counts(self, field: str) -> np.ndarray:
-        """How many records of each reviewer (rows, in ``groups`` order)
-        hold each distinct key of ``field`` (columns, in ``keys`` order),
-        as floats. A prefix builds its own."""
+    def group_sums(self, field: str, values: np.ndarray) -> np.ndarray:
+        """Each reviewer's (last axis, in ``groups`` order) float sum of
+        its records' values, from ``values`` per distinct key of ``field``
+        (last axis, in ``keys`` order): one gather and one
+        ``np.add.reduceat`` over the records in ``groups`` order, with no
+        BLAS call. A prefix builds its own record order."""
         built = self.tallies.get(field)
         if built is None:
-            owners = np.repeat(np.arange(len(self.groups)), [len(ix) for _, ix in self.groups])
             records = np.concatenate([ix for _, ix in self.groups]).astype(np.intp)
-            width = len(self.keys[field][0])
-            cells = owners * width + self.positions[field][records]
-            built = np.bincount(cells, minlength=len(self.groups) * width).reshape(-1, width)
-            built = self.tallies[field] = built.astype(float)
-        return built
+            starts = np.cumsum([0] + [len(ix) for _, ix in self.groups[:-1]])
+            built = self.tallies[field] = self.positions[field][records], starts
+        keys, starts = built
+        return np.add.reduceat(values[..., keys], starts, axis=-1)
 
 
 def _is_method_set(selection: object) -> bool:
@@ -416,55 +418,67 @@ def _path_overlap_scores(p: str, q: str) -> tuple[float, float, float, float]:
 
 
 def _reviewer_sums(history: History, field: str, values: np.ndarray) -> np.ndarray:
-    """Reviewer (columns, in ``groups`` order) sums of the rows of
-    ``values``, each a non-negative value per distinct key of ``field``:
-    the math.fsum of a reviewer's records' values, as the same doubles.
+    """Reviewer (last axis, in ``groups`` order) sums of ``values``, a
+    rows × components × distinct keys of ``field`` array of non-negative
+    values: the math.fsum of a reviewer's records' values, as the same
+    doubles.
 
-    Each non-zero value is m·2**e with 0.5 <= m < 1 (``np.frexp``) and
-    e_min <= e <= e_max, so it is a multiple of 2**(e_min - 53). Cut at
-    the grid g = 2**(e_min - 26), it is ``high``, a multiple of g below
-    2**e_max, plus ``low``, a multiple of 2**(e_min - 53) below g: in those
-    units, integers below 2**(e_max - e_min + 26) and 2**27. A reviewer of
-    n_r records sums n_r of each, so while 27 + (e_max - e_min) +
-    bit_length(n_r) <= 53 every partial sum of ``high @ counts.T`` and of
-    ``low @ counts.T`` is an integer below 2**53 in its unit, exact in any
-    order, and their one IEEE addition rounds the exact total as math.fsum
-    does. Where that fails, ``_record_fsums`` sums them."""
-    counts = history.counts(field)
-    nonzero = values[values > 0]
-    if not len(nonzero):
-        return np.zeros((len(values), len(counts)))
-    exponents = np.frexp(nonzero)[1]
-    e_min, e_max = int(exponents.min()), int(exponents.max())
+    Each non-zero value of a row is m·2**e with 0.5 <= m < 1 (``np.frexp``)
+    and e_min <= e <= e_max, so it is a multiple of 2**(e_min - 53). Cut at
+    the row's grid g = 2**(e_min - 26), it is ``high``, a multiple of g
+    below 2**e_max, plus ``low``, a multiple of 2**(e_min - 53) below g: in
+    those units, integers below 2**(e_max - e_min + 26) and 2**27. A
+    reviewer of n_r records sums n_r of each, so while 27 + (e_max - e_min)
+    + bit_length(n_r) <= 53 every partial sum of its ``high`` and of its
+    ``low`` values (``History.group_sums``) is an integer below 2**53 in
+    its unit, exact in any order, and their one IEEE addition rounds the
+    exact total as math.fsum does. Rows where that fails are summed by
+    ``_record_fsums``."""
+    positive = values > 0
+    exponents = np.frexp(values)[1]
+    found = positive.any(axis=(1, 2))
+    e_min = np.where(found, np.where(positive, exponents, 1 << 30).min(axis=(1, 2)), 0)
+    e_max = np.where(found, np.where(positive, exponents, -(1 << 30)).max(axis=(1, 2)), 0)
     largest = max(len(ix) for _, ix in history.groups)
-    if 27 + e_max - e_min + largest.bit_length() <= 53:
-        high = np.ldexp(np.floor(np.ldexp(values, 26 - e_min)), e_min - 26)
-        return high @ counts.T + (values - high) @ counts.T
-    return _record_fsums(history, field, values)
+    exact = 27 + e_max - e_min + largest.bit_length() <= 53
+    grid = np.where(exact, e_min - 26, 0)[:, None, None]
+    high = np.ldexp(np.floor(np.ldexp(values, -grid)), grid)
+    sums = history.group_sums(field, high) + history.group_sums(field, values - high)
+    for row in np.flatnonzero(~exact):
+        sums[row] = _record_fsums(history, field, values[row])
+    return sums
 
 
 def _record_fsums(history: History, field: str, values: np.ndarray) -> np.ndarray:
-    """``_reviewer_sums`` one record at a time: each reviewer's math.fsum
-    of its records' values."""
+    """``_reviewer_sums`` of one row, one record at a time: each reviewer's
+    math.fsum of its records' values in each component."""
     per_record = values[:, history.positions[field]].tolist()
     return np.array([[math.fsum([row[i] for i in ix]) for _, ix in history.groups] for row in per_record])
 
 
-def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) -> RecommendationList:
-    """File-path baseline: four per-component reviewer rankings merged by
-    Borda count.
+def revfinder_points(paths: Sequence[str], history: Sequence[ReviewRecord]) -> np.ndarray:
+    """REVFINDER's Borda points of each reviewer (columns, in ``groups``
+    order) for a query on each of ``paths`` (rows), as integers.
 
     For each component, per-record scores sum onto reviewers
     (``_reviewer_sums``) and the reviewers are ranked (ties lexicographic).
     A reviewer at 0-based rank i in a component list of n reviewers earns
-    n - i points, so the top reviewer gets n and the last gets 1; final
-    ranking is by total points (ties lexicographic).
+    n - i points, so the top reviewer gets n and the last gets 1; its
+    points are the sum over the four components.
     """
     history = History(history)
-    overlaps = history.feature(REVFINDER).overlaps(query.file_path, len(history.keys["file_path"][0]))
-    totals = _reviewer_sums(history, "file_path", overlaps)
+    built, n = history.feature(REVFINDER), len(history.keys["file_path"][0])
+    totals = _reviewer_sums(history, "file_path", np.array([built.overlaps(path, n) for path in paths]))
     order = np.lexsort((np.broadcast_to(history.id_order, totals.shape), -totals), axis=-1)
-    borda = (totals.shape[1] - order.argsort(axis=-1)).sum(axis=0)
+    return (totals.shape[-1] - order.argsort(axis=-1)).sum(axis=1)
+
+
+def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) -> RecommendationList:
+    """File-path baseline: four per-component reviewer rankings merged by
+    Borda count (``revfinder_points``); the final ranking is by total
+    points, ties lexicographic."""
+    history = History(history)
+    borda = revfinder_points([query.file_path], history)[0]
     reviewers = [reviewer for reviewer, _ in history.groups]
     entries = tuple((reviewers[r], float(borda[r])) for r in np.lexsort((history.id_order, -borda)))
     return RecommendationList(entries=entries, query_ref=(query.change_id, query.patch_id))

@@ -237,14 +237,19 @@ class TestRecommend:
         assert cli.main(args + ["--methods", "REVFINDER"]) == 0
         assert cli.main(args + ["--methods", "FP_JC+RC_CS"]) == 2
 
-    def test_rc_cs_without_embeddings(self, planted_file, capsys):
+    @pytest.mark.parametrize("comment", ["socket", "the 7"], ids=["tokens", "no-tokens"])
+    def test_rc_cs_without_embeddings(self, planted_file, capsys, comment):
+        # Fails before any output, and before warning that the comment has
+        # no usable tokens.
         code = cli.main([
             "recommend", "--corpus", planted_file,
-            "--file-path", "net/a.py", "--comment", "socket",
+            "--file-path", "net/a.py", "--comment", comment,
             "--methods", "RC_CS",
         ])
         assert code == 1
-        assert "--embeddings" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "--embeddings" in err
 
     def test_custom_stopwords_via_env(self, planted_file, tmp_path, capsys, monkeypatch):
         stop = tmp_path / "stop.txt"
@@ -342,12 +347,15 @@ class TestEvaluate:
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
         assert (tmp_path / "serial.txt").read_bytes() == (tmp_path / "par.txt").read_bytes()
 
-    def test_rc_cs_needs_embeddings_flag(self, synth_file, capsys):
-        code = cli.main([
-            "evaluate", "--corpus", synth_file, "--methods", "RC_CS",
-        ])
+    @pytest.mark.parametrize("command", [["evaluate", "--methods", "FP_JC,RC_CS"], ["compare"]],
+                             ids=["evaluate", "compare"])
+    def test_rc_cs_needs_embeddings_flag(self, synth_file, capsys, command):
+        # Fails before any output, the seed line included.
+        code = cli.main(command + ["--corpus", synth_file])
         assert code == 1
-        assert "--embeddings" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "--embeddings" in err
 
     def test_rc_cs_with_embeddings(self, synth_file, vectors_file, tmp_path, capsys):
         code = cli.main([
@@ -444,6 +452,27 @@ class TestCompare:
             reports.append((out.with_suffix(".csv").read_bytes(),
                             out.with_suffix(".txt").read_bytes()))
         assert reports[0] == reports[1]
+
+    def test_runs_import_no_numpy_module_beyond_the_cli_s(self, tmp_path):
+        # A numpy submodule imported lazily on first use (numpy.ma, say)
+        # costs every fresh process that time, as a cold benchmark run does.
+        corpus_path, vectors_path = tmp_path / "synth.jsonl", tmp_path / "vectors.txt"
+        save_corpus(Corpus(project="synth", records=tuple(random_records(random.Random(14), 120))),
+                    corpus_path)
+        save_embedding_table(random_table(random.Random(15)), vectors_path)
+        script = (
+            "import json, sys\n"
+            "from revrec import cli\n"
+            "before = {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+            "for sampling in ('fixed', 'incremental'):\n"
+            f"    assert cli.main(['compare', '--corpus', {str(corpus_path)!r}, '--embeddings',"
+            f" {str(vectors_path)!r}, '--sampling', sampling]) == 0\n"
+            "print(json.dumps(sorted({m for m in sys.modules if m.split('.')[0] == 'numpy'} - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_always_reads_embeddings(self, synth_file, tmp_path, capsys):
         code = cli.main([

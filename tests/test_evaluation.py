@@ -5,6 +5,7 @@ import json
 import math
 import random
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,15 @@ from revrec.evaluation import (
     run_eval,
     topk_accuracy,
 )
-from revrec.recommender import _FIELD, History, MethodId, RecommendationList, rank_selection
+from revrec.recommender import (
+    _FIELD,
+    History,
+    MethodId,
+    RecommendationList,
+    rank_selection,
+    recommend,
+    revfinder_recommend,
+)
 
 FP_JC = frozenset({MethodId.FP_JC})
 
@@ -398,33 +407,43 @@ class TestScoreOncePerQuery:
         assert calls == {"method_score": 0, "TokenPostings": 2, "PathCodes": 1, "VectorRows": 1}
 
     @staticmethod
-    def _queries(config, n):
+    def _step_queries(config, n):
         if config.sampling is Sampling.FIXED:
-            return math.ceil(config.test_fraction * n)
-        return sum(math.ceil(config.test_fraction * (end - start))
-                   for start, end in incremental_chunks(n, config.steps))
+            return [math.ceil(config.test_fraction * n)]
+        return [math.ceil(config.test_fraction * (end - start))
+                for start, end in incremental_chunks(n, config.steps)]
+
+    @classmethod
+    def _queries(cls, config, n):
+        return sum(cls._step_queries(config, n))
 
     @pytest.mark.parametrize("sampling", list(Sampling))
-    def test_each_other_distinct_selection_is_ranked_once_per_query(self, monkeypatch, sampling):
+    @pytest.mark.parametrize("block_cells", [None, 1], ids=["default", "one-query-blocks"])
+    def test_each_other_distinct_selection_is_ranked_once_per_query(self, monkeypatch, sampling, block_cells):
         # The union is scored and ranked by one recommend call per query;
         # FP_JC, configured twice, and FP_HD are ranked from its columns by
-        # one SubSelections.ranks call per query, without rank_selection.
-        # REVFINDER's overlaps come from one PathOverlaps per run, not from
-        # the pair-by-pair _path_overlap_scores.
+        # one SubSelections.ranks call per block of a step's queries, which
+        # covers each query's columns once, in order, without
+        # rank_selection. REVFINDER's overlaps come from one PathOverlaps
+        # per run, not from the pair-by-pair _path_overlap_scores.
         rng = random.Random(98)
         corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
         fp_hd = frozenset({MethodId.FP_HD})
         calls = {"recommend": [], "ranks": [], "rank_selection": 0,
                  "_path_overlap_scores": 0, "PathOverlaps": 0}
+        scored, ranked = [], []  # the columns recommend made, and those ranks took
         recommend, ranks = revrec.evaluation.recommend, revrec.evaluation.SubSelections.ranks
 
         def recommending(query, history, selection, *args, **kwargs):
             calls["recommend"].append(selection)
-            return recommend(query, history, selection, *args, **kwargs)
+            ranking = recommend(query, history, selection, *args, **kwargs)
+            scored.append(ranking.columns)
+            return ranking
 
-        def ranking(others, columns, truth):
-            calls["ranks"].append(others.selections)
-            return ranks(others, columns, truth)
+        def ranking(others, columns, truths):
+            calls["ranks"].append((others.selections, len(columns)))
+            ranked.extend(columns)
+            return ranks(others, columns, truths)
 
         for name in ("rank_selection", "_path_overlap_scores", "PathOverlaps"):
             inner = getattr(revrec.recommender, name)
@@ -436,34 +455,43 @@ class TestScoreOncePerQuery:
             monkeypatch.setattr(revrec.recommender, name, counting)
         monkeypatch.setattr(revrec.evaluation, "recommend", recommending)
         monkeypatch.setattr(revrec.evaluation.SubSelections, "ranks", ranking)
+        if block_cells:
+            monkeypatch.setattr(revrec.evaluation, "_BLOCK_CELLS", block_cells)
         config = EvalConfig(methods=(FP_JC, FP_JC | fp_hd, fp_hd, FP_JC, "REVFINDER"),
                             sampling=sampling)
         counted = run_eval(corpus, config)
         monkeypatch.undo()
         assert counted == run_eval(corpus, config)
         queries = self._queries(config, 40)
-        assert calls == {"recommend": [FP_JC | fp_hd] * queries, "ranks": [[FP_JC, fp_hd]] * queries,
+        # With the default bound each step is one block; with one cell, each
+        # query is a block.
+        blocks = [1] * queries if block_cells else self._step_queries(config, 40)
+        assert calls == {"recommend": [FP_JC | fp_hd] * queries,
+                         "ranks": [([FP_JC, fp_hd], size) for size in blocks],
                          "rank_selection": 0, "_path_overlap_scores": 0, "PathOverlaps": 1}
+        assert len(ranked) == len(scored) == queries
+        assert all(a is b for a, b in zip(ranked, scored))
 
     @pytest.mark.parametrize("sampling", list(Sampling))
     def test_no_ranking_outlives_its_query(self, monkeypatch, sampling):
+        # Evaluation makes one ranking per query, the union's; a block keeps
+        # its columns only. REVFINDER is ranked from arrays, with no ranking.
         rng = random.Random(96)
         corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
         made = []  # (query, weak reference to a ranking made for it)
-        for name in ("recommend", "revfinder_recommend"):
-            inner = getattr(revrec.evaluation, name)
+        inner = revrec.evaluation.recommend
 
-            def tracking(query, *args, inner=inner, **kwargs):
-                alive = [q for q, ref in made if q is not query and ref() is not None]
-                assert not alive, f"{len(alive)} rankings of earlier queries are alive"
-                ranking = inner(query, *args, **kwargs)
-                made.append((query, weakref.ref(ranking)))
-                return ranking
+        def tracking(query, *args, **kwargs):
+            alive = [q for q, ref in made if q is not query and ref() is not None]
+            assert not alive, f"{len(alive)} rankings of earlier queries are alive"
+            ranking = inner(query, *args, **kwargs)
+            made.append((query, weakref.ref(ranking)))
+            return ranking
 
-            monkeypatch.setattr(revrec.evaluation, name, tracking)
+        monkeypatch.setattr(revrec.evaluation, "recommend", tracking)
         config = EvalConfig(methods=compare_selections(), sampling=sampling)
         run_eval(corpus, config, random_table(rng))
-        assert len(made) == 2 * self._queries(config, 40)
+        assert len(made) == self._queries(config, 40)
         assert all(ref() is None for _, ref in made)
 
     @pytest.mark.parametrize("sampling", list(Sampling))
@@ -639,11 +667,13 @@ class TestSubSelections:
         compared = 0
         inner = SubSelections.ranks
 
-        def checking(others, columns, truth):
+        def checking(others, columns, truths):
             nonlocal compared
-            got = inner(others, columns, truth)
-            assert got == reference_ranks(others.history, columns, others.selections, truth)
-            compared += len(got)
+            got = inner(others, columns, truths)
+            assert len(got) == len(columns) == len(truths)
+            for row, query_columns, truth in zip(got, columns, truths):
+                assert row == reference_ranks(others.history, query_columns, others.selections, truth)
+                compared += len(row)
             return got
 
         monkeypatch.setattr(SubSelections, "ranks", checking)
@@ -673,7 +703,7 @@ class TestSubSelections:
         grid = np.array(values, dtype=float).reshape(len(reviewers), selection)
         columns = {m: grid[:, i] for i, m in enumerate(methods)}
         selections = [frozenset(methods)]
-        got = SubSelections(history, selections).ranks(columns, {truth})
+        got = SubSelections(history, selections).ranks([columns], [{truth}])[0]
         assert got == reference_ranks(history, columns, selections, {truth}) == [rank]
         assert sorted(r for _, r in exact_calls) == ["reva", "revb"]
 
@@ -707,7 +737,7 @@ class TestSubSelections:
         checked = 0
         for draw in draws.values():
             columns = {m: np.array([draw() for _ in history.keys[_FIELD[m]][0]]) for m in MethodId}
-            lo, hi, zero = others.bounds(columns)
+            (lo, hi, zero), = zip(*others.bounds([columns]))
             for s, selection in enumerate(ALL_SELECTIONS):
                 for r in range(len(sizes)):
                     exact = others.exact(columns, selection, r)
@@ -718,14 +748,95 @@ class TestSubSelections:
 
     def test_truth_absent_from_the_history_has_no_rank(self, exact_calls):
         history = keyed_history(["reva", "revb"])
-        columns = {m: np.array([0.5, 0.5]) for m in MethodId}
-        assert SubSelections(history, ALL_SELECTIONS).ranks(columns, {"ghost"}) == [None] * 15
+        # Ties that would need exact sums, in a block with a query that has
+        # a truth reviewer.
+        tied = {m: np.array([0.5, 0.5]) for m in MethodId}
+        apart = {m: np.array([1.0, 0.0]) for m in MethodId}
+        ranks = SubSelections(history, ALL_SELECTIONS).ranks([tied, apart, tied], [{"ghost"}, {"reva"}, set()])
+        assert ranks == [[None] * 15, [1] * 15, [None] * 15]
         assert not exact_calls
 
     def test_all_zero_columns_tie_by_id_without_exact_sums(self, exact_calls):
         history = keyed_history(["revc", "reva", "revd", "revb", "reva"])
         columns = {m: np.zeros(5) for m in MethodId}
         others = SubSelections(history, ALL_SELECTIONS)
-        assert others.ranks(columns, {"revc"}) == [3] * 15
-        assert others.ranks(columns, {"revd", "revb", "ghost"}) == [2] * 15
+        assert others.ranks([columns] * 2, [{"revc"}, {"revd", "revb", "ghost"}]) == [[3] * 15, [2] * 15]
         assert not exact_calls
+
+
+def per_query_ranks(query, truth, history, methods, table):
+    """Each selection's first correct rank for one query, from the
+    rankings recommend, rank_selection and revfinder_recommend make."""
+    union = frozenset().union(*(s for s in methods if s != "REVFINDER"))
+    columns = recommend(query, history, union, table).columns if union else {}
+    return [first_correct_rank(revfinder_recommend(query, history), truth) if s == "REVFINDER"
+            else reference_ranks(history, columns, [s], truth)[0] for s in methods]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_block_ranks_equal_the_per_query_rankings(self, monkeypatch, sampling):
+        # Small cell bounds split each step into blocks of a few queries.
+        # Some records take another's path, so that paths repeat within a
+        # block, and some a reviewer of their own, so that no history
+        # holds their truth.
+        rng = random.Random(f"blocks/{sampling.value}")
+        seen = dict.fromkeys(["step of several blocks", "block of several queries",
+                              "path repeated in a block", "truth absent"], 0)
+        inner = revrec.evaluation._block_ranks
+
+        def checking(queries, truths, history, methods, union, others, table, stopwords):
+            got = inner(queries, truths, history, methods, union, others, table, stopwords)
+            assert got == [per_query_ranks(q, t, history, methods, table) for q, t in zip(queries, truths)]
+            reviewers = {reviewer for reviewer, _ in history.groups}
+            seen["block of several queries"] += len(queries) > 1
+            seen["path repeated in a block"] += len({q.file_path for q in queries}) < len(queries)
+            seen["truth absent"] += sum(not truth & reviewers for truth in truths)
+            blocks.append(history)
+            return got
+
+        monkeypatch.setattr(revrec.evaluation, "_block_ranks", checking)
+        for trial in range(8):
+            records = random_records(rng, rng.randint(40, 90))
+            for i in rng.sample(range(len(records)), len(records) // 3):
+                records[i] = replace(records[i], file_path=rng.choice(records).file_path)
+            for i in rng.sample(range(len(records)), 4):
+                records[i] = replace(records[i], reviewer_id=f"solo{i}")
+            monkeypatch.setattr(revrec.evaluation, "_BLOCK_CELLS", rng.choice([1, 400, 1500, 1 << 17]))
+            methods = compare_selections() if trial % 2 else (FP_JC, frozenset({MethodId.RC_JC}), "REVFINDER")
+            config = EvalConfig(methods=methods, sampling=sampling, rng_seed=trial,
+                                test_fraction=0.25)
+            blocks = []
+            run_eval(Corpus(project="synth", records=tuple(records)), config, random_table(rng))
+            seen["step of several blocks"] += len(blocks) > len(set(map(id, blocks)))
+        assert all(seen.values()), seen
+
+    def test_a_block_mixes_grid_exact_rows_with_the_per_record_fallback(self, monkeypatch):
+        # A query equal to a path of 4,000 characters scores 1.0 against it
+        # and 1/4,000 against "a"; with a group of 20,000 records its
+        # reviewer sums fail the grid bound (see recommender._reviewer_sums)
+        # and are summed record by record, while the short queries of the
+        # same block fit the grid.
+        rng = random.Random(151)
+        long_path = "".join(rng.choices("ab/", k=4_000))
+        paths = ["".join(rng.choices("ab/", k=rng.randint(1, 4_000))) for _ in range(4)]
+        paths += [long_path, long_path[:-1], "a"]
+        sizes = [20_000, 1, 7, 30]
+        history = History(rng.sample([
+            make_record(change_id=f"c{i}.{j}", file_path=rng.choice(paths), reviewer_id=f"rev{i}")
+            for i, size in enumerate(sizes) for j in range(size)], sum(sizes)))
+        queries = [make_record(change_id=f"q{i}", file_path=path)
+                   for i, path in enumerate(["ab", long_path, "b/a", long_path, "ab"])]
+        truths = [{"rev1"}, {"rev2", "rev3"}, {"rev0"}, {"ghost"}, {"rev3", "ghost"}]
+        fallbacks = []
+        inner = revrec.recommender._record_fsums
+
+        def counting(history, field, values):
+            fallbacks.append(values)
+            return inner(history, field, values)
+
+        monkeypatch.setattr(revrec.recommender, "_record_fsums", counting)
+        got = revrec.evaluation._revfinder_ranks(queries, truths, history)
+        assert len(fallbacks) == 1  # the long path, once for the block
+        assert got == [first_correct_rank(revfinder_recommend(q, history), t) for q, t in zip(queries, truths)]
+        assert got[3] is None

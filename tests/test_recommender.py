@@ -686,13 +686,14 @@ class TestReviewerSums:
 
     @staticmethod
     def check(history, values):
-        """Assert that each reviewer's sum is the math.fsum of its records'
-        values, by .hex(); return the reference sums."""
+        """Assert that each reviewer's sum in each row and component of
+        ``values`` is the math.fsum of its records' values, by .hex();
+        return the reference sums, one list per row and component."""
         got = _reviewer_sums(history, "file_path", values)
-        assert got.shape == (len(values), len(history.groups))
+        assert got.shape == values.shape[:2] + (len(history.groups),)
         want = [[math.fsum(row[list(ix)].tolist()) for _, ix in history.groups]
-                for row in values[:, history.positions["file_path"]]]
-        assert [[x.hex() for x in row] for row in got.tolist()] == [[x.hex() for x in row] for row in want]
+                for row in values.reshape(-1, values.shape[-1])[:, history.positions["file_path"]]]
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for row in want for x in row]
         return want
 
     def test_sums_equal_fsum_over_each_reviewers_records(self, fallbacks):
@@ -716,9 +717,11 @@ class TestReviewerSums:
                 length = rng.choice(lengths)
                 return rng.randint(0, length) / length
 
-            values = np.array([[overlap() for _ in history.keys["file_path"][0]] for _ in range(4)])
+            # A block of rows, each with its own grid.
+            values = np.array([[[overlap() for _ in history.keys["file_path"][0]] for _ in range(4)]
+                               for _ in range(rng.randint(1, 3))])
             where = [r.file_path for r in history.keys["file_path"][0]]
-            for row in values:
+            for row in values.reshape(-1, values.shape[-1]):
                 row[[where.index("x1"), where.index("x2"), where.index("y")]] = last_bit_apart(rng)
             for row in self.check(history, values):
                 ordered = sorted(set(row))
@@ -733,8 +736,9 @@ class TestReviewerSums:
         # A query equal to a path of 5,000 characters scores 1.0 against it
         # and 1/5,000 (binary exponent -12) against "a", so with a group of
         # 10,000 records (14 bits) the grid bound 27 + 13 + 14 > 53 fails,
-        # and the query is summed record by record; so is one equal to a
-        # path of 4,000 characters with a group of 20,000.
+        # and that row alone of a block is summed record by record; so is
+        # one equal to a path of 4,000 characters with a group of 20,000.
+        # The short queries' rows in the same block fit the grid.
         rng = random.Random(149)
         for longest, big in ((5_000, 10_000), (4_000, 20_000)):
             long_path = "".join(rng.choices("ab/", k=longest))
@@ -743,17 +747,16 @@ class TestReviewerSums:
             history = grouped_history(rng, [big, 1, rng.randint(2, 50), rng.randint(2, 50)], paths)
             keys = [r.file_path for r in history.keys["file_path"][0]]
             overlaps = PathOverlaps(keys)
-            for query in (long_path, rng.choice(paths), "b" * longest):
-                before = len(fallbacks)
-                self.check(history, overlaps.overlaps(query, len(keys)))
-                if query == long_path:
-                    assert len(fallbacks) == before + 1
+            rows = np.array([overlaps.overlaps(query, len(keys))
+                             for query in ("ab", long_path, "b/a")])
+            self.check(history, rows)
+            assert len(fallbacks) == 1
+            assert np.array_equal(fallbacks.pop(), rows[1])
         # The same paths under a 10-record group fit the grid.
         history = grouped_history(rng, [10, 1, 3], paths)
         keys = [r.file_path for r in history.keys["file_path"][0]]
-        before = len(fallbacks)
-        self.check(history, PathOverlaps(keys).overlaps(long_path, len(keys)))
-        assert len(fallbacks) == before
+        self.check(history, PathOverlaps(keys).overlaps(long_path, len(keys))[None])
+        assert not fallbacks
 
 
 class TestRecommendationList:
