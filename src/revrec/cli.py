@@ -24,6 +24,7 @@ from .evaluation import EvalConfig, Sampling, run_eval
 from .recommender import (
     REVFINDER,
     MethodId,
+    _required,
     parse_method_selection,
     recommend,
     revfinder_recommend,
@@ -44,7 +45,7 @@ def _load_table(args, selections) -> EmbeddingTable | None:
     if not any(s != REVFINDER and MethodId.RC_CS in s for s in selections):
         return None
     if args.embeddings is None:
-        raise ConfigurationError("RC_CS needs a word-vector table (see --embeddings)")
+        _required(None)  # raises recommend's own error for a missing table
     return load_embedding_table(args.embeddings)
 
 

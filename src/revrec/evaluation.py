@@ -15,10 +15,11 @@ the one number per query that ``topk_accuracy(ranks, k)`` and
 int | None``. Every other selection gets that number for a block of a
 step's queries at once, with no ranking made: the similarity selections
 from ``SubSelections``, which bounds all reviewers' sums for the block
-from count matrices and sums exactly only where the bounds cannot
-decide, and REVFINDER from the Borda points of each distinct query path
-(``recommender.revfinder_points``). A block keeps only its queries'
-union columns, up to a fixed number of cells. Reports are deterministic
+from float sums per reviewer and sums exactly only where the bounds
+cannot decide, and REVFINDER from the Borda points of each distinct
+query path (``recommender.revfinder_points``). A block keeps only its
+queries' union columns, and its arrays, those gathered onto every record
+included, hold at most a fixed number of cells. Reports are deterministic
 byte-for-byte for a given corpus and config. Evaluation runs serially;
 the ``jobs`` argument is accepted and has no effect.
 """
@@ -164,7 +165,8 @@ _TINY = 2.0 ** -1070
 
 def _truth_mask(history: History, truths: Sequence[Collection[str]]) -> np.ndarray:
     """Queries × reviewers (in ``history.groups`` order): where a reviewer
-    is one of the query's truth reviewers."""
+    is one of the query's truth reviewers. A block builds it once for
+    ``SubSelections.ranks`` and ``_revfinder_ranks``."""
     index = {reviewer: r for r, (reviewer, _) in enumerate(history.groups)}
     mine = np.zeros((len(truths), len(index)), dtype=bool)
     mine.flat[[q * len(index) + index[t] for q, truth in enumerate(truths) for t in truth if t in index]] = True
@@ -242,10 +244,10 @@ class SubSelections:
         zero = ~((self.weights > 0) @ (sums > 0))
         return np.where(zero, 0.0, approx - error), np.where(zero, 0.0, approx + error), zero
 
-    def ranks(self, columns: Sequence, truths: Sequence[Collection[str]]) -> list[list[int | None]]:
+    def ranks(self, columns: Sequence, mine: np.ndarray) -> list[list[int | None]]:
         """Per query, each selection's first correct rank for its truth
-        set, or None for all when no truth reviewer is in the history."""
-        mine = _truth_mask(self.history, truths)
+        reviewers (``mine``, a ``_truth_mask`` row), or None for all when
+        none is in the history."""
         found = mine.any(axis=1)
         lo, hi, zero = self.bounds(columns)
         known: dict[tuple[int, int, int], float] = {}
@@ -275,15 +277,14 @@ class SubSelections:
         return [(row + 1).tolist() if f else [None] * len(self.selections) for row, f in zip(ahead, found)]
 
 
-def _revfinder_ranks(queries: Sequence[ReviewRecord], truths, history: History) -> list[int | None]:
+def _revfinder_ranks(queries: Sequence[ReviewRecord], mine: np.ndarray, history: History) -> list[int | None]:
     """REVFINDER's first correct rank for each query: 1 + the number of
     reviewers whose (-points, id order) key is below that of its best
-    truth reviewer, with the points of each distinct query path computed
-    once (``revfinder_points``)."""
+    truth reviewer (``mine``, a ``_truth_mask`` row), with the points of
+    each distinct query path computed once (``revfinder_points``)."""
     rows = {path: p for p, path in enumerate(dict.fromkeys(q.file_path for q in queries))}
     points = revfinder_points(list(rows), history)[[rows[q.file_path] for q in queries]]
     keys = history.id_order - len(history.groups) * points  # distinct integers, best lowest
-    mine = _truth_mask(history, truths)
     best = np.where(mine, keys, np.inf).min(axis=1, keepdims=True)
     ahead = (keys < best).sum(axis=1)
     return [int(a) + 1 if f else None for a, f in zip(ahead, mine.any(axis=1))]
@@ -297,6 +298,7 @@ def _block_ranks(queries, truths, history, methods, union, others, table, stopwo
     ``SubSelections`` of the step) over the union's columns, and
     REVFINDER, if configured, by ``_revfinder_ranks``."""
     ranks: list[dict] = [{} for _ in queries]
+    mine = _truth_mask(history, truths)
     if union:
         columns = []
         for query_ranks, query, truth in zip(ranks, queries, truths):
@@ -308,19 +310,28 @@ def _block_ranks(queries, truths, history, methods, union, others, table, stopwo
             columns.append(scored.columns)
             del scored  # no ranking outlives its query
         if others.selections:
-            for query_ranks, row in zip(ranks, others.ranks(columns, truths)):
+            for query_ranks, row in zip(ranks, others.ranks(columns, mine)):
                 query_ranks.update(zip(others.selections, row))
     if REVFINDER in methods:
-        for query_ranks, rank in zip(ranks, _revfinder_ranks(queries, truths, history)):
+        for query_ranks, rank in zip(ranks, _revfinder_ranks(queries, mine, history)):
             query_ranks[REVFINDER] = rank
     return [[query_ranks[selection] for selection in methods] for query_ranks in ranks]
 
 
-# The most cells that one block of a step's queries keeps: per query, the
-# union's columns hold one per distinct key of each method's field, and
-# REVFINDER's overlaps four per distinct path. This bounds a block's
-# memory at any corpus size.
+# The most cells that the arrays of one block of a step's queries hold
+# (see ``_block_cells``). This bounds a block's memory at any corpus size.
 _BLOCK_CELLS = 1 << 17
+
+
+def _block_cells(history: History, union: frozenset, others: Sequence, revfinder: bool) -> int:
+    """The cells that one query adds to its block's arrays: the union's
+    columns, one per distinct key of each method's field, and REVFINDER's
+    overlaps, four per distinct path; those values gathered onto every
+    record (``History.group_sums``), one row per method and four for
+    REVFINDER; and each other selection's reviewer bounds."""
+    width = {f: len(keys) for f, (keys, _) in history.keys.items()}
+    keyed = sum(width[_FIELD[m]] for m in union) + 4 * width["file_path"] * revfinder
+    return keyed + (len(union) + 4 * revfinder) * len(history) + len(others) * len(history.groups)
 
 
 def _score_steps(
@@ -349,9 +360,7 @@ def _score_steps(
         truths: dict[str, set[str]] = {}
         for record in validation:
             truths.setdefault(record.change_id, set()).add(record.reviewer_id)
-        width = {f: len(keys) for f, (keys, _) in history.keys.items()}
-        cells = sum(width[_FIELD[m]] for m in union) + 4 * width["file_path"] * (REVFINDER in config.methods)
-        block = max(1, _BLOCK_CELLS // cells)
+        block = max(1, _BLOCK_CELLS // _block_cells(history, union, others, REVFINDER in config.methods))
         step_ranks = []
         for start in range(0, len(validation), block):
             queries = validation[start:start + block]

@@ -24,6 +24,7 @@ from revrec.evaluation import (
     ReportRow,
     Sampling,
     _min_fixed_corpus_size,
+    _truth_mask,
     first_correct_rank,
     fixed_test_indices,
     SubSelections,
@@ -440,10 +441,10 @@ class TestScoreOncePerQuery:
             scored.append(ranking.columns)
             return ranking
 
-        def ranking(others, columns, truths):
+        def ranking(others, columns, mine):
             calls["ranks"].append((others.selections, len(columns)))
             ranked.extend(columns)
-            return ranks(others, columns, truths)
+            return ranks(others, columns, mine)
 
         for name in ("rank_selection", "_path_overlap_scores", "PathOverlaps"):
             inner = getattr(revrec.recommender, name)
@@ -667,11 +668,13 @@ class TestSubSelections:
         compared = 0
         inner = SubSelections.ranks
 
-        def checking(others, columns, truths):
+        def checking(others, columns, mine):
             nonlocal compared
-            got = inner(others, columns, truths)
-            assert len(got) == len(columns) == len(truths)
-            for row, query_columns, truth in zip(got, columns, truths):
+            got = inner(others, columns, mine)
+            assert len(got) == len(columns) == len(mine)
+            reviewers = [reviewer for reviewer, _ in others.history.groups]
+            for row, query_columns, query_mine in zip(got, columns, mine):
+                truth = {reviewer for reviewer, m in zip(reviewers, query_mine) if m}
                 assert row == reference_ranks(others.history, query_columns, others.selections, truth)
                 compared += len(row)
             return got
@@ -703,7 +706,7 @@ class TestSubSelections:
         grid = np.array(values, dtype=float).reshape(len(reviewers), selection)
         columns = {m: grid[:, i] for i, m in enumerate(methods)}
         selections = [frozenset(methods)]
-        got = SubSelections(history, selections).ranks([columns], [{truth}])[0]
+        got = SubSelections(history, selections).ranks([columns], _truth_mask(history, [{truth}]))[0]
         assert got == reference_ranks(history, columns, selections, {truth}) == [rank]
         assert sorted(r for _, r in exact_calls) == ["reva", "revb"]
 
@@ -752,7 +755,8 @@ class TestSubSelections:
         # a truth reviewer.
         tied = {m: np.array([0.5, 0.5]) for m in MethodId}
         apart = {m: np.array([1.0, 0.0]) for m in MethodId}
-        ranks = SubSelections(history, ALL_SELECTIONS).ranks([tied, apart, tied], [{"ghost"}, {"reva"}, set()])
+        mine = _truth_mask(history, [{"ghost"}, {"reva"}, set()])
+        ranks = SubSelections(history, ALL_SELECTIONS).ranks([tied, apart, tied], mine)
         assert ranks == [[None] * 15, [1] * 15, [None] * 15]
         assert not exact_calls
 
@@ -760,7 +764,8 @@ class TestSubSelections:
         history = keyed_history(["revc", "reva", "revd", "revb", "reva"])
         columns = {m: np.zeros(5) for m in MethodId}
         others = SubSelections(history, ALL_SELECTIONS)
-        assert others.ranks([columns] * 2, [{"revc"}, {"revd", "revb", "ghost"}]) == [[3] * 15, [2] * 15]
+        mine = _truth_mask(history, [{"revc"}, {"revd", "revb", "ghost"}])
+        assert others.ranks([columns] * 2, mine) == [[3] * 15, [2] * 15]
         assert not exact_calls
 
 
@@ -811,6 +816,36 @@ class TestBlocks:
             seen["step of several blocks"] += len(blocks) > len(set(map(id, blocks)))
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_a_block_s_record_arrays_stay_within_the_cell_bound(self, monkeypatch, sampling):
+        # Three paths and two comments over 1,000 records: the union's
+        # columns and REVFINDER's overlaps are a few cells per query, but
+        # both are gathered onto every record (History.group_sums), so
+        # the bound must split a step into blocks by its records.
+        records = [make_record(change_id=f"c{i}", file_path=f"p/{i % 3}.py", comment=f"w{i % 2}",
+                               reviewer_id=f"rev{i % 40}", minute=i) for i in range(1_000)]
+        bound = 60_000
+        gathered, blocks = [], []
+        group_sums, block_ranks = History.group_sums, revrec.evaluation._block_ranks
+
+        def gathering(history, field, values):
+            gathered.append(values[..., 0].size * len(history))
+            return group_sums(history, field, values)
+
+        def blocking(queries, truths, history, *args):
+            blocks.append(len(queries))
+            return block_ranks(queries, truths, history, *args)
+
+        monkeypatch.setattr(History, "group_sums", gathering)
+        monkeypatch.setattr(revrec.evaluation, "_block_ranks", blocking)
+        monkeypatch.setattr(revrec.evaluation, "_BLOCK_CELLS", bound)
+        config = EvalConfig(methods=(FP_JC, FP_JC | {MethodId.FP_HD}, "REVFINDER"), sampling=sampling)
+        counted = run_eval(Corpus(project="synth", records=tuple(records)), config)
+        monkeypatch.undo()
+        assert counted == run_eval(Corpus(project="synth", records=tuple(records)), config)
+        assert len(blocks) > len(TestScoreOncePerQuery._step_queries(config, 1_000))
+        assert gathered and max(gathered) <= bound
+
     def test_a_block_mixes_grid_exact_rows_with_the_per_record_fallback(self, monkeypatch):
         # A query equal to a path of 4,000 characters scores 1.0 against it
         # and 1/4,000 against "a"; with a group of 20,000 records its
@@ -836,7 +871,7 @@ class TestBlocks:
             return inner(history, field, values)
 
         monkeypatch.setattr(revrec.recommender, "_record_fsums", counting)
-        got = revrec.evaluation._revfinder_ranks(queries, truths, history)
+        got = revrec.evaluation._revfinder_ranks(queries, _truth_mask(history, truths), history)
         assert len(fallbacks) == 1  # the long path, once for the block
         assert got == [first_correct_rank(revfinder_recommend(q, history), t) for q, t in zip(queries, truths)]
         assert got[3] is None

@@ -732,14 +732,25 @@ class TestReviewerSums:
         assert all(seen.values()), seen
         assert not fallbacks
 
+    @staticmethod
+    def grid_fails(history, row):
+        """Whether ``_reviewer_sums``' grid bound fails for one row: its
+        non-zero values' binary exponents span more than 53 - 27 bits less
+        those of the largest reviewer group's size."""
+        exponents = [math.frexp(v)[1] for v in row.ravel().tolist() if v > 0]
+        largest = max(len(ix) for _, ix in history.groups)
+        return bool(exponents) and 27 + max(exponents) - min(exponents) + largest.bit_length() > 53
+
     def test_long_paths_fall_back_to_per_record_fsum(self, fallbacks):
         # A query equal to a path of 5,000 characters scores 1.0 against it
         # and 1/5,000 (binary exponent -12) against "a", so with a group of
         # 10,000 records (14 bits) the grid bound 27 + 13 + 14 > 53 fails,
-        # and that row alone of a block is summed record by record; so is
-        # one equal to a path of 4,000 characters with a group of 20,000.
-        # The short queries' rows in the same block fit the grid.
+        # and the query is summed record by record; so is one equal to a
+        # path of 4,000 characters with a group of 20,000. Each block holds
+        # that query, a random history path, "b" * longest and two short
+        # queries, and exactly the rows whose bound fails fall back.
         rng = random.Random(149)
+        seen = dict.fromkeys(["grid row beside a fallback", "several fallback rows"], 0)
         for longest, big in ((5_000, 10_000), (4_000, 20_000)):
             long_path = "".join(rng.choices("ab/", k=longest))
             paths = ["".join(rng.choices("ab/", k=rng.randint(1, longest))) for _ in range(5)]
@@ -747,11 +758,17 @@ class TestReviewerSums:
             history = grouped_history(rng, [big, 1, rng.randint(2, 50), rng.randint(2, 50)], paths)
             keys = [r.file_path for r in history.keys["file_path"][0]]
             overlaps = PathOverlaps(keys)
-            rows = np.array([overlaps.overlaps(query, len(keys))
-                             for query in ("ab", long_path, "b/a")])
+            queries = (long_path, rng.choice(paths), "b" * longest, "ab", "b/a")
+            rows = np.array([overlaps.overlaps(query, len(keys)) for query in queries])
             self.check(history, rows)
-            assert len(fallbacks) == 1
-            assert np.array_equal(fallbacks.pop(), rows[1])
+            failing = [row for row in rows if self.grid_fails(history, row)]
+            assert self.grid_fails(history, rows[0])
+            assert len(fallbacks) == len(failing)
+            assert all(np.array_equal(got, want) for got, want in zip(fallbacks, failing))
+            seen["grid row beside a fallback"] += len(failing) < len(rows)
+            seen["several fallback rows"] += len(failing) > 1
+            fallbacks.clear()
+        assert all(seen.values()), seen
         # The same paths under a 10-record group fit the grid.
         history = grouped_history(rng, [10, 1, 3], paths)
         keys = [r.file_path for r in history.keys["file_path"][0]]
