@@ -198,8 +198,8 @@ def _add_scoring_options(sub) -> None:
     sub.add_argument(
         "--stopwords",
         default=None,
-        help="stop-word file, one word per line (default: bundled list; "
-        "env REVREC_STOPWORDS overrides)",
+        help="stop-word file, one word per line (default: env REVREC_STOPWORDS, "
+        "else the bundled list)",
     )
 
 

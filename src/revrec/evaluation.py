@@ -13,15 +13,18 @@ the similarity selections. Its ranking is reduced within the query to
 the one number per query that ``topk_accuracy(ranks, k)`` and
 ``mrr_at_k(ranks, k)`` read: ``first_correct_rank(ranking, truth) ->
 int | None``. Every other selection gets that number for a block of a
-step's queries at once, with no ranking made: the similarity selections
-from ``SubSelections``, which bounds all reviewers' sums for the block
-from float sums per reviewer and sums exactly only where the bounds
-cannot decide, and REVFINDER from the Borda points of each distinct
+step's queries at once, with no ranking made, from one score per
+reviewer and ``_first_ranks``, which counts the reviewers ahead of the
+best truth reviewer by (-score, reviewer id). For the similarity
+selections (``SubSelections``) a score is exact only where it must be:
+float sums per reviewer bound every exact sum, and only a window of
+reviewers that the bounds cannot order against the best truth reviewer
+is summed exactly. For REVFINDER it is the Borda points of each distinct
 query path (``recommender.revfinder_points``). A block keeps only its
 queries' union columns, and its arrays, those gathered onto every record
-included, hold at most a fixed number of cells. Reports are deterministic
-byte-for-byte for a given corpus and config. Evaluation runs serially;
-the ``jobs`` argument is accepted and has no effect.
+included, hold at most a fixed number of cells. Reports are
+deterministic byte-for-byte for a given corpus and config. Evaluation
+runs serially; the ``jobs`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .recommender import (
     MethodId,
     MethodSelection,
     RecommendationList,
+    _fsums,
     _is_method_set,
-    _mean,
     recommend,
     revfinder_points,
     revfinder_recommend,  # not called here; bench/child.py wraps this name
@@ -177,10 +180,10 @@ class SubSelections:
     """First correct ranks of several similarity selections in one step's
     history, for a block of queries from each one's normalized distinct-key
     scores (the ``columns`` of ``recommend`` for a union of them), equal to
-    those of the rankings ``rank_selection`` makes from the same scores.
+    those of the rankings ``recommend`` makes of each selection alone.
 
     A reviewer's exact score under a selection of p methods is
-    T = fsum over its records of that record's mean (``recommender._mean``).
+    T = fsum over its records of that record's mean (``recommender._fsums``).
     Let X be the real sum of the selected scores over p. Each mean is an
     fsum rounded once and a division rounded once, and the total is
     rounded once, so ``|T - X| <= 3.01·u·X + 1.01·n_r·η`` for a reviewer
@@ -198,16 +201,19 @@ class SubSelections:
     ``|A - T| < e = 4·u·(n_r + 16)·A + (n_r + 16)·2**-1070``, about four
     times the bound, which also absorbs the roundings of e and A ± e.
 
-    So T lies in [A - e, A + e]. A reviewer whose lower end is above the
-    best truth reviewer's upper end is surely ahead of it, and one whose
-    upper end is below its lower end surely behind. Only reviewers whose
-    interval meets the best truth reviewer's get their exact T (``exact``),
-    and are then ordered by (-T, reviewer id) against it (Shewchuk's
-    filtered exact pattern, Discrete Comput. Geom. 18, 1997). T is 0
-    exactly when every selected S is 0: a float sum of non-negative terms
-    is 0 only if each term is. Zeros are decided from
-    S, not A, because a third of a subnormal S can round to 0; two such
-    reviewers tie and are ordered by id without ``exact``.
+    So T lies in [lo, hi] = [A - e, A + e], and T is 0 exactly when every
+    selected S is 0 (a float sum of non-negative terms is 0 only if each
+    term is; zeros are decided from S, not A, because a third of a
+    subnormal S can round to 0). With floor and ceiling the largest lo and
+    hi among the query's truth reviewers, the best truth reviewer's T_best
+    lies in [floor, ceiling]: T_best >= T_t >= lo_t for each truth t, and
+    T_best <= its own hi <= ceiling. So a reviewer with lo > ceiling is
+    ahead of it (score +inf) and one with hi < floor behind (-inf). Every
+    other reviewer scores its hi: 0 for a zero, above 0 for the rest, the
+    window. A window of two or more gets its exact T (``exact``); one
+    alone is the only finite non-zero score. ``_first_ranks`` then counts
+    the reviewers ahead by (-score, reviewer id) (Shewchuk's filtered
+    exact pattern, Discrete Comput. Geom. 18, 1997).
 
     The history's reviewers and their ids' order are read once, when the
     object is made for a step; each block's arrays are queries ×
@@ -225,12 +231,11 @@ class SubSelections:
 
     def exact(self, columns, selection: frozenset, r: int) -> float:
         """Reviewer ``r``'s score under ``selection`` for one query's
-        ``columns``, as ``rank_selection`` computes it: the math.fsum of its
-        records' means."""
+        ``columns``, as ``recommend`` computes it (``recommender._fsums``)."""
         records = np.asarray(self.history.groups[r][1], dtype=np.intp)
         positions = self.history.positions
-        return math.fsum(_mean([columns[m][positions[_FIELD[m]][records]].tolist()
-                                for m in MethodId if m in selection]))
+        selected = [columns[m][positions[_FIELD[m]][records]].tolist() for m in MethodId if m in selection]
+        return _fsums([(r, range(len(records)))], selected)[0]
 
     def bounds(self, columns: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Query × selection × reviewer arrays for each query's ``columns``:
@@ -248,46 +253,38 @@ class SubSelections:
         """Per query, each selection's first correct rank for its truth
         reviewers (``mine``, a ``_truth_mask`` row), or None for all when
         none is in the history."""
-        found = mine.any(axis=1)
         lo, hi, zero = self.bounds(columns)
-        known: dict[tuple[int, int, int], float] = {}
+        found, mine = mine.any(axis=1), mine[:, None]
+        floor = np.where(mine, lo, -np.inf).max(axis=-1, keepdims=True)
+        ceiling = np.where(mine, hi, -np.inf).max(axis=-1, keepdims=True)
+        window = ~zero & (lo <= ceiling) & (hi >= floor)
+        scores = np.where(lo > ceiling, np.inf, np.where(hi < floor, -np.inf, hi))
+        for q, s in zip(*np.nonzero(window.sum(axis=-1) > 1)):
+            for r in np.flatnonzero(window[q, s]):
+                scores[q, s, r] = self.exact(columns[q], self.selections[s], r)
+        first = _first_ranks(scores, mine, self.id_order).tolist()
+        return [row if f else [None] * len(self.selections) for row, f in zip(first, found)]
 
-        def order(q, s, r):
-            """Reviewer r's place under selection s for query q: (-T, id order)."""
-            if not zero[q, s, r] and (q, s, r) not in known:
-                known[q, s, r] = self.exact(columns[q], self.selections[s], r)
-            return -known.get((q, s, r), 0.0), self.id_order[r]
 
-        # The best truth reviewer is among those that no other truth
-        # reviewer is surely ahead of.
-        mine = mine[:, None]
-        maybe = mine & (hi >= np.where(mine, lo, -np.inf).max(axis=-1, keepdims=True))
-        best = maybe.argmax(axis=-1)
-        for q, s in zip(*np.nonzero(maybe.sum(axis=-1) > 1)):
-            best[q, s] = min(np.flatnonzero(maybe[q, s]), key=lambda r: order(q, s, r))
-        at = (np.arange(len(columns))[:, None], np.arange(len(self.selections)), best)
-        lo_best, hi_best = lo[at][..., None], hi[at][..., None]
-        ahead = (lo > hi_best).sum(axis=-1)
-        near = (lo <= hi_best) & (hi >= lo_best) & found[:, None, None]
-        near[at] = False
-        tied = near & zero & zero[at][..., None]
-        ahead += (tied & (self.id_order < self.id_order[best][..., None])).sum(axis=-1)
-        for q, s, r in zip(*np.nonzero(near & ~tied)):
-            ahead[q, s] += order(q, s, r) < order(q, s, best[q, s])
-        return [(row + 1).tolist() if f else [None] * len(self.selections) for row, f in zip(ahead, found)]
+def _first_ranks(scores: np.ndarray, mine: np.ndarray, id_order: np.ndarray) -> np.ndarray:
+    """1 + the number of reviewers (last axis, in ``groups`` order) ahead of
+    the best of the ``mine`` reviewers by (-score, reviewer id), where
+    ``id_order`` is each reviewer's place in the order of the ids. A row
+    with no ``mine`` reviewer gets a meaningless number."""
+    best = np.where(mine, scores, -np.inf).max(axis=-1, keepdims=True)
+    first = np.where(mine & (scores == best), id_order, len(id_order)).min(axis=-1, keepdims=True)
+    return ((scores > best) | ((scores == best) & (id_order < first))).sum(axis=-1) + 1
 
 
 def _revfinder_ranks(queries: Sequence[ReviewRecord], mine: np.ndarray, history: History) -> list[int | None]:
-    """REVFINDER's first correct rank for each query: 1 + the number of
-    reviewers whose (-points, id order) key is below that of its best
-    truth reviewer (``mine``, a ``_truth_mask`` row), with the points of
-    each distinct query path computed once (``revfinder_points``)."""
+    """REVFINDER's first correct rank for each query (``_first_ranks`` of
+    its Borda points, for its truth reviewers ``mine``, a ``_truth_mask``
+    row), with the points of each distinct query path computed once
+    (``revfinder_points``)."""
     rows = {path: p for p, path in enumerate(dict.fromkeys(q.file_path for q in queries))}
     points = revfinder_points(list(rows), history)[[rows[q.file_path] for q in queries]]
-    keys = history.id_order - len(history.groups) * points  # distinct integers, best lowest
-    best = np.where(mine, keys, np.inf).min(axis=1, keepdims=True)
-    ahead = (keys < best).sum(axis=1)
-    return [int(a) + 1 if f else None for a, f in zip(ahead, mine.any(axis=1))]
+    first = _first_ranks(points, mine, history.id_order).tolist()
+    return [rank if f else None for rank, f in zip(first, mine.any(axis=1))]
 
 
 def _block_ranks(queries, truths, history, methods, union, others, table, stopwords) -> list[list[int | None]]:

@@ -3,23 +3,25 @@
 Two rankers live here. ``recommend`` scores every history record against
 the query with the selected similarity methods (file-path Jaccard,
 file-path adapted Hamming, comment cosine, comment Jaccard) into one
-min-max normalized column per method, averages the columns per record
-(``_mean``) and sums per reviewer. It returns the normalized scores of
-the distinct keys with its ranking. ``rank_selection`` ranks any
-sub-selection the same way from columns expanded to one per record, and
-evaluation's filter (``evaluation.SubSelections``) finds first correct
-ranks from the distinct-key scores as they are.
-``revfinder_recommend`` is the file-path-only baseline: four string-overlap
-scores per record, summed per reviewer into four rankings that are merged
-by Borda count. ``revfinder_points`` gives those points for queries on
-several paths at once, and ``revfinder_recommend`` is its one-path case.
-The overlaps are exact integer kernels over all distinct paths at once
+min-max normalized column per method. ``_fsums`` averages the columns
+per record and sums the means per reviewer, one math.fsum at a time. It
+returns the normalized scores of the distinct keys with its ranking, and
+evaluation's filter (``evaluation.SubSelections``) ranks sub-selections
+from those scores, summing exactly with ``_fsums`` only where its bounds
+cannot decide. ``revfinder_recommend`` is the file-path-only baseline:
+four string-overlap scores per record, summed per reviewer into four
+rankings that are merged by Borda count. ``revfinder_points`` gives
+those points for queries on several paths at once, and
+``revfinder_recommend`` is its one-path case. The overlaps are exact
+integer kernels over all distinct paths at once
 (``similarity.PathOverlaps``); ``_path_overlap_scores`` is their one-pair
 reference. The reviewer sums come from the distinct paths' overlaps,
 split at a grid per query path that makes both sums over each
 reviewer's records exact (``_reviewer_sums``), so they are the doubles
-a math.fsum over each reviewer's records gives; the four rankings and
-the Borda points are array sorts and sums over all the query paths.
+``_fsums`` gives, which sums a query path the grid cannot hold; the four
+rankings and the Borda points are array sorts and sums over all the
+query paths. Both rankers order reviewers by (-total, reviewer id)
+(``_entries``).
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
@@ -31,8 +33,6 @@ with the same doubles as ``method_score``. ``History.prefix`` cuts all of
 these from a longer history instead of building them again;
 ``History.group_sums``, which sums per-key values onto reviewers for
 evaluation's filter and the baseline's sums, belongs to one History.
-``recommend`` and ``rank_selection`` rank reviewers with ``_rank``: one
-math.fsum per reviewer group, ties by reviewer id.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -165,13 +165,6 @@ def method_score(
     if method is MethodId.FP_HD:
         return adapted_hamming_similarity(q, p)
     return cosine(q, p) if method is MethodId.RC_CS else jaccard(q, p)
-
-
-def _rank(groups: Sequence[tuple[str, Sequence[int]]], column: Sequence[float]) -> tuple:
-    """Each reviewer's math.fsum of its records' scores in ``column``, best
-    first, ties by reviewer id."""
-    totals = {r: math.fsum([column[i] for i in ix]) for r, ix in groups}
-    return tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
 
 
 def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewRecord], list[int]]:
@@ -317,8 +310,8 @@ def recommend(
     """Rank every reviewer in the history by summed similarity to the query.
 
     Each method's raw scores are min-max normalized across the history
-    (constant columns become all zeros) and ranked like ``rank_selection``
-    ranks them per record; the result carries the normalized scores of
+    (constant columns become all zeros), averaged per record and summed
+    per reviewer (``_fsums``); the result carries the normalized scores of
     the distinct keys, for ranking sub-selections.
     """
     history = History(history)
@@ -333,35 +326,25 @@ def recommend(
             lo, hi = scores.min(), scores.max()
             columns[m] = np.zeros(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
             per_record.append(columns[m][history.positions[_FIELD[m]]].tolist())
-    entries = _rank(history.groups, _mean(per_record))
+    entries = _entries(history, _fsums(history.groups, per_record))
     return RecommendationList(entries, (query.change_id, query.patch_id), columns)
 
 
-def _mean(selected: Sequence[Sequence[float]]) -> Sequence[float]:
-    """Per record, the mean of the selected columns' values.
-
-    The mean of one column is the column, and of two is ``(a + b) / 2``:
-    IEEE addition is correctly rounded, so it equals ``fsum([a, b])``.
-    """
-    n = len(selected)
-    if n == 1:
-        return selected[0]
-    if n == 2:
-        return [(a + b) / 2 for a, b in zip(*selected)]
-    return [math.fsum(values) / n for values in zip(*selected)]
+def _fsums(groups: Sequence[tuple[str, Sequence[int]]], columns: Sequence[Sequence[float]]) -> list[float]:
+    """Each group's math.fsum of its records' means, where a record's mean
+    is the math.fsum of its values in ``columns`` (one per-record sequence
+    per selected method) over their number p; with p = 1 it is the value."""
+    p = len(columns)
+    means = columns[0] if p == 1 else [math.fsum(values) / p for values in zip(*columns)]
+    return [math.fsum([means[i] for i in ix]) for _, ix in groups]
 
 
-def rank_selection(
-    groups: Sequence[tuple[str, Sequence[int]]],
-    columns: Mapping[MethodId, list[float]],
-    methods: frozenset,
-    query_ref: tuple[str, str],
-) -> RecommendationList:
-    """Average the selected per-record columns per record (``_mean``) and
-    sum each reviewer's group (see ``History.groups``) with math.fsum, so
-    the ranking does not depend on history order."""
-    combined = _mean([columns[m] for m in MethodId if m in methods])
-    return RecommendationList(entries=_rank(groups, combined), query_ref=query_ref, columns=columns)
+def _entries(history: History, totals: Sequence[float]) -> tuple[tuple[str, float], ...]:
+    """Each reviewer (``totals`` in ``groups`` order) with its total, by
+    (-total, reviewer id). A Python sort: each ``recommend`` call ranks a
+    few dozen reviewers, and numpy's first calls in a process cost more."""
+    ranked = zip([reviewer for reviewer, _ in history.groups], map(float, totals))
+    return tuple(sorted(ranked, key=lambda entry: (-entry[1], entry[0])))
 
 
 # Baseline string-overlap components, computed on raw path characters and
@@ -432,8 +415,8 @@ def _reviewer_sums(history: History, field: str, values: np.ndarray) -> np.ndarr
     + bit_length(n_r) <= 53 every partial sum of its ``high`` and of its
     ``low`` values (``History.group_sums``) is an integer below 2**53 in
     its unit, exact in any order, and their one IEEE addition rounds the
-    exact total as math.fsum does. Rows where that fails are summed by
-    ``_record_fsums``."""
+    exact total as math.fsum does. Rows where that fails are summed record
+    by record, one ``_fsums`` per component."""
     positive = values > 0
     exponents = np.frexp(values)[1]
     found = positive.any(axis=(1, 2))
@@ -445,15 +428,9 @@ def _reviewer_sums(history: History, field: str, values: np.ndarray) -> np.ndarr
     high = np.ldexp(np.floor(np.ldexp(values, -grid)), grid)
     sums = history.group_sums(field, high) + history.group_sums(field, values - high)
     for row in np.flatnonzero(~exact):
-        sums[row] = _record_fsums(history, field, values[row])
+        per_record = values[row][:, history.positions[field]].tolist()
+        sums[row] = [_fsums(history.groups, [component]) for component in per_record]
     return sums
-
-
-def _record_fsums(history: History, field: str, values: np.ndarray) -> np.ndarray:
-    """``_reviewer_sums`` of one row, one record at a time: each reviewer's
-    math.fsum of its records' values in each component."""
-    per_record = values[:, history.positions[field]].tolist()
-    return np.array([[math.fsum([row[i] for i in ix]) for _, ix in history.groups] for row in per_record])
 
 
 def revfinder_points(paths: Sequence[str], history: Sequence[ReviewRecord]) -> np.ndarray:
@@ -479,6 +456,4 @@ def revfinder_recommend(query: ReviewRecord, history: Sequence[ReviewRecord]) ->
     points, ties lexicographic."""
     history = History(history)
     borda = revfinder_points([query.file_path], history)[0]
-    reviewers = [reviewer for reviewer, _ in history.groups]
-    entries = tuple((reviewers[r], float(borda[r])) for r in np.lexsort((history.id_order, -borda)))
-    return RecommendationList(entries=entries, query_ref=(query.change_id, query.patch_id))
+    return RecommendationList(entries=_entries(history, borda), query_ref=(query.change_id, query.patch_id))

@@ -3,15 +3,18 @@ synthetic corpora and word-vector tables for property and oracle tests."""
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from datetime import datetime, timedelta, timezone
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from revrec.corpus import Corpus, ReviewRecord
 from revrec.embedding import EmbeddingTable
+from revrec.recommender import MethodId, RecommendationList
 
 BASE_TIME = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -170,3 +173,41 @@ def tiny_table() -> EmbeddingTable:
         "handler": np.array([1.0, 1.0, 0.0]),
     }
     return EmbeddingTable(dimension=3, entries=entries)
+
+
+# The reference ranking of a selection that recommend and the filtered
+# sub-selection ranks are pinned to: per-record means and per-reviewer
+# sums in plain Python, one math.fsum at a time.
+
+def _rank(groups: Sequence[tuple[str, Sequence[int]]], column: Sequence[float]) -> tuple:
+    """Each reviewer's math.fsum of its records' scores in ``column``, best
+    first, ties by reviewer id."""
+    totals = {r: math.fsum([column[i] for i in ix]) for r, ix in groups}
+    return tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
+
+
+def _mean(selected: Sequence[Sequence[float]]) -> Sequence[float]:
+    """Per record, the mean of the selected columns' values.
+
+    The mean of one column is the column, and of two is ``(a + b) / 2``:
+    IEEE addition is correctly rounded, so it equals ``fsum([a, b])``.
+    """
+    n = len(selected)
+    if n == 1:
+        return selected[0]
+    if n == 2:
+        return [(a + b) / 2 for a, b in zip(*selected)]
+    return [math.fsum(values) / n for values in zip(*selected)]
+
+
+def rank_selection(
+    groups: Sequence[tuple[str, Sequence[int]]],
+    columns: Mapping[MethodId, list[float]],
+    methods: frozenset,
+    query_ref: tuple[str, str],
+) -> RecommendationList:
+    """Average the selected per-record columns per record (``_mean``) and
+    sum each reviewer's group (see ``History.groups``) with math.fsum, so
+    the ranking does not depend on history order."""
+    combined = _mean([columns[m] for m in MethodId if m in methods])
+    return RecommendationList(entries=_rank(groups, combined), query_ref=query_ref, columns=columns)

@@ -30,6 +30,7 @@ import pytest
 
 import revrec
 from revrec.cli import compare_selections
+from revrec.evaluation import SubSelections
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,6 +102,10 @@ SCALED_DIGESTS = {
     "fixed": "033f8b65cf2a48c0b0fc2f192bb4eaa31d27b846657138be1919976f4ee382d5",
     "incremental": "b399bea19249f590b58dd3da9b7bf3f1f591b2ec46ec5abf5c4128522fa543e3",
 }
+# The reviewer sums that the same reports' sub-selection filter computes
+# exactly (``SubSelections.exact``): a filter that decides less from its
+# bounds gives the same digests but more calls.
+SCALED_EXACT_CALLS = {"fixed": 46, "incremental": 140}
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +128,18 @@ def scaled_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("sampling, settings", [("fixed", {"rng_seed": 7}), ("incremental", {"steps": 8})])
-def test_scaled_report_digest(scaled_inputs, sampling, settings):
+def test_scaled_report_digest(scaled_inputs, sampling, settings, monkeypatch):
     corpus, table = scaled_inputs
+    calls = []
+    exact = SubSelections.exact
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(SubSelections, "exact", counting)
     config = revrec.EvalConfig(methods=compare_selections(), sampling=revrec.Sampling(sampling), **settings)
     report = revrec.run_eval(corpus, config, table)
     text = report.to_csv_text() + "\0" + report.to_table_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALED_DIGESTS[sampling]
+    assert len(calls) == SCALED_EXACT_CALLS[sampling]

@@ -264,6 +264,25 @@ class TestRecommend:
         assert code == 0
         assert "no usable tokens" in capsys.readouterr().err
 
+    def test_stopwords_flag_wins_over_env(self, planted_file, tmp_path, capsys, monkeypatch):
+        # The env list stops every comment word, the flag's list none of
+        # them: the flag's list is the one used.
+        env_list, flag_list = tmp_path / "env.txt", tmp_path / "flag.txt"
+        env_list.write_text("socket\nbuffer\nlatency\n", encoding="utf-8")
+        flag_list.write_text("unrelated\n", encoding="utf-8")
+        monkeypatch.setenv("REVREC_STOPWORDS", str(env_list))
+        args = ["recommend", "--corpus", planted_file, "--file-path", "net/socket/linkaa.py",
+                "--comment", "socket buffer latency", "--methods", "RC_JC"]
+        assert cli.main(args + ["--stopwords", str(flag_list)]) == 0
+        flagged = capsys.readouterr()
+        assert "no usable tokens" not in flagged.err
+        monkeypatch.delenv("REVREC_STOPWORDS")
+        assert cli.main(args) == 0
+        assert capsys.readouterr() == flagged
+        monkeypatch.setenv("REVREC_STOPWORDS", str(env_list))
+        assert cli.main(args) == 0
+        assert "no usable tokens" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_fixed_report_row_count(self, synth_file, tmp_path, capsys):

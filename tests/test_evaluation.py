@@ -13,7 +13,7 @@ import pytest
 import oracle
 import revrec.evaluation
 import revrec.recommender
-from conftest import make_record, random_records, random_table
+from conftest import make_record, random_records, random_table, rank_selection
 from revrec.cli import compare_selections
 from revrec.corpus import Corpus, ReviewRecord, parse_record_line
 from revrec.errors import ConfigurationError, EvaluationError, ValidationError
@@ -38,7 +38,6 @@ from revrec.recommender import (
     History,
     MethodId,
     RecommendationList,
-    rank_selection,
     recommend,
     revfinder_recommend,
 )
@@ -424,14 +423,13 @@ class TestScoreOncePerQuery:
         # The union is scored and ranked by one recommend call per query;
         # FP_JC, configured twice, and FP_HD are ranked from its columns by
         # one SubSelections.ranks call per block of a step's queries, which
-        # covers each query's columns once, in order, without
-        # rank_selection. REVFINDER's overlaps come from one PathOverlaps
-        # per run, not from the pair-by-pair _path_overlap_scores.
+        # covers each query's columns once, in order. REVFINDER's overlaps
+        # come from one PathOverlaps per run, not from the pair-by-pair
+        # _path_overlap_scores.
         rng = random.Random(98)
         corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
         fp_hd = frozenset({MethodId.FP_HD})
-        calls = {"recommend": [], "ranks": [], "rank_selection": 0,
-                 "_path_overlap_scores": 0, "PathOverlaps": 0}
+        calls = {"recommend": [], "ranks": [], "_path_overlap_scores": 0, "PathOverlaps": 0}
         scored, ranked = [], []  # the columns recommend made, and those ranks took
         recommend, ranks = revrec.evaluation.recommend, revrec.evaluation.SubSelections.ranks
 
@@ -446,7 +444,7 @@ class TestScoreOncePerQuery:
             ranked.extend(columns)
             return ranks(others, columns, mine)
 
-        for name in ("rank_selection", "_path_overlap_scores", "PathOverlaps"):
+        for name in ("_path_overlap_scores", "PathOverlaps"):
             inner = getattr(revrec.recommender, name)
 
             def counting(*args, name=name, inner=inner):
@@ -469,7 +467,7 @@ class TestScoreOncePerQuery:
         blocks = [1] * queries if block_cells else self._step_queries(config, 40)
         assert calls == {"recommend": [FP_JC | fp_hd] * queries,
                          "ranks": [([FP_JC, fp_hd], size) for size in blocks],
-                         "rank_selection": 0, "_path_overlap_scores": 0, "PathOverlaps": 1}
+                         "_path_overlap_scores": 0, "PathOverlaps": 1}
         assert len(ranked) == len(scored) == queries
         assert all(a is b for a, b in zip(ranked, scored))
 
@@ -631,6 +629,13 @@ ALL_SELECTIONS = [frozenset(combo) for size in range(1, 5)
                   for combo in itertools.combinations(MethodId, size)]
 
 
+def ulps_above(x, n):
+    """The double n ulps above x."""
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
 def keyed_history(reviewers):
     """One record per entry of ``reviewers``, each with its own path and
     comment, so that every method's distinct keys are the records."""
@@ -689,26 +694,38 @@ class TestSubSelections:
         assert compared > 1000
         assert exact_calls
 
-    @pytest.mark.parametrize("reviewers, values, truth, selection, rank", [
+    @pytest.mark.parametrize("reviewers, values, truth, selection, rank, exact", [
         # 0.1 + 0.2 is one ulp above 0.3.
-        (["reva", "reva", "revb"], [0.1, 0.2, 0.3], "revb", 1, 2),
+        (["reva", "reva", "revb"], [0.1, 0.2, 0.3], {"revb"}, 1, 2, ["reva", "revb"]),
         # Equal sums from different records tie, and ties go by id.
-        (["reva", "reva", "revb"], [0.5, 0.25, 0.75], "revb", 1, 2),
+        (["reva", "reva", "revb"], [0.5, 0.25, 0.75], {"revb"}, 1, 2, ["reva", "revb"]),
         # A float sum in record order ties them; the exact sum does not.
-        (["revb", "revb", "revb", "reva"], [1.0, 2**-53, 2**-53, 1.0], "reva", 1, 2),
+        (["revb", "revb", "revb", "reva"], [1.0, 2**-53, 2**-53, 1.0], {"reva"}, 1, 2, ["reva", "revb"]),
         # Equal means of three methods, which weighted float sums misorder.
-        (["revb", "reva"], [[1.0, 6 / 7, 1 / 7], [1.0, 1.0, 0.0]], "reva", 3, 1),
-    ], ids=["last-bit", "equal-multisets", "naive-misorder", "three-method-means"])
-    def test_near_ties_go_to_the_exact_sums(self, exact_calls, reviewers, values, truth, selection, rank):
+        (["revb", "reva"], [[1.0, 6 / 7, 1 / 7], [1.0, 1.0, 0.0]], {"reva"}, 3, 1, ["reva", "revb"]),
+        # Two truth reviewers a few ulps apart, with revc between them and
+        # reva above both: the window spans both truths, and all four
+        # reviewers in it are summed exactly.
+        (["reva", "revb", "revc", "revd"], [ulps_above(0.3, 3), 0.3, ulps_above(0.3, 1), ulps_above(0.3, 2)],
+         {"revb", "revd"}, 1, 2, ["reva", "revb", "revc", "revd"]),
+        # The best truth's interval meets no other: the near tie of reva
+        # and revb below it and revd above it are decided from the bounds.
+        (["reva", "reva", "revb", "revc", "revd"], [0.1, 0.2, 0.3, 0.9, 1.0], {"revc"}, 1, 2, []),
+        # A truth alone in the window with a subnormal sum, whose interval
+        # reaches below 0, still ranks above a zero with a lower id.
+        (["reva", "revb"], [0.0, 2**-1074], {"revb"}, 1, 1, []),
+    ], ids=["last-bit", "equal-multisets", "naive-misorder", "three-method-means",
+            "truths-around-a-rival", "isolated-truth", "subnormal-alone"])
+    def test_near_ties_go_to_the_exact_sums(self, exact_calls, reviewers, values, truth, selection, rank, exact):
         # ``values`` holds one score per record, or one per record and method.
         history = keyed_history(reviewers)
         methods = list(MethodId)[:selection]
         grid = np.array(values, dtype=float).reshape(len(reviewers), selection)
         columns = {m: grid[:, i] for i, m in enumerate(methods)}
         selections = [frozenset(methods)]
-        got = SubSelections(history, selections).ranks([columns], _truth_mask(history, [{truth}]))[0]
-        assert got == reference_ranks(history, columns, selections, {truth}) == [rank]
-        assert sorted(r for _, r in exact_calls) == ["reva", "revb"]
+        got = SubSelections(history, selections).ranks([columns], _truth_mask(history, [truth]))[0]
+        assert got == reference_ranks(history, columns, selections, truth) == [rank]
+        assert sorted(r for _, r in exact_calls) == exact
 
     def test_naive_sums_misorder_the_near_ties(self):
         # What the cases above guard against: summing in record order.
@@ -864,14 +881,14 @@ class TestBlocks:
                    for i, path in enumerate(["ab", long_path, "b/a", long_path, "ab"])]
         truths = [{"rev1"}, {"rev2", "rev3"}, {"rev0"}, {"ghost"}, {"rev3", "ghost"}]
         fallbacks = []
-        inner = revrec.recommender._record_fsums
+        inner = revrec.recommender._fsums
 
-        def counting(history, field, values):
-            fallbacks.append(values)
-            return inner(history, field, values)
+        def counting(groups, columns):
+            fallbacks.extend(columns)
+            return inner(groups, columns)
 
-        monkeypatch.setattr(revrec.recommender, "_record_fsums", counting)
+        monkeypatch.setattr(revrec.recommender, "_fsums", counting)
         got = revrec.evaluation._revfinder_ranks(queries, _truth_mask(history, truths), history)
-        assert len(fallbacks) == 1  # the long path, once for the block
+        assert len(fallbacks) == 4  # the long path's four components, once for the block
         assert got == [first_correct_rank(revfinder_recommend(q, history), t) for q, t in zip(queries, truths)]
         assert got[3] is None

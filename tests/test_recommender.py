@@ -12,7 +12,7 @@ import pytest
 import oracle
 import revrec.evaluation
 import revrec.recommender
-from conftest import BASE_TIME, SYNTH_VOCAB, make_record, random_records, random_table
+from conftest import BASE_TIME, SYNTH_VOCAB, make_record, random_records, random_table, rank_selection
 from revrec.corpus import Corpus
 from revrec.embedding import EmbeddingTable
 from revrec.errors import ConfigurationError, EmptyHistoryError, ValidationError
@@ -23,7 +23,6 @@ from revrec.recommender import (
     MethodId,
     method_score,
     parse_method_selection,
-    rank_selection,
     recommend,
     revfinder_recommend,
     selection_label,
@@ -477,7 +476,8 @@ class TestRankSelection:
 
     def test_group_sums_equal_per_record_fsum_means(self):
         # Columns on a coarse grid tie often; the reference takes the mean
-        # of every record with math.fsum, whatever the number of columns.
+        # of every record with math.fsum, whatever the number of columns,
+        # and so do rank_selection and recommender._fsums.
         rng = random.Random(83)
         for trial in range(40):
             n = rng.randint(1, 40)
@@ -497,6 +497,7 @@ class TestRankSelection:
                 want = tuple(sorted(totals.items(), key=lambda item: (-item[1], item[0])))
                 got = rank_selection(tuple(groups.items()), columns, selection, ("q", "p"))
                 assert got.entries == want
+                assert revrec.recommender._fsums(tuple(groups.items()), selected) == list(totals.values())
 
     def test_recommend_carries_only_selected_columns(self):
         hist = [make_record(change_id="h", reviewer_id="r1")]
@@ -673,15 +674,16 @@ def last_bit_apart(rng):
 class TestReviewerSums:
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """The values that _reviewer_sums sent to the per-record fallback."""
+        """The per-record values that _reviewer_sums sent to the per-record
+        fallback (``_fsums``), one list per component of each row."""
         calls = []
-        inner = revrec.recommender._record_fsums
+        inner = revrec.recommender._fsums
 
-        def counting(history, field, values):
-            calls.append(values)
-            return inner(history, field, values)
+        def counting(groups, columns):
+            calls.extend(columns)
+            return inner(groups, columns)
 
-        monkeypatch.setattr(revrec.recommender, "_record_fsums", counting)
+        monkeypatch.setattr(revrec.recommender, "_fsums", counting)
         return calls
 
     @staticmethod
@@ -763,8 +765,8 @@ class TestReviewerSums:
             self.check(history, rows)
             failing = [row for row in rows if self.grid_fails(history, row)]
             assert self.grid_fails(history, rows[0])
-            assert len(fallbacks) == len(failing)
-            assert all(np.array_equal(got, want) for got, want in zip(fallbacks, failing))
+            positions = history.positions["file_path"]
+            assert fallbacks == [component[positions].tolist() for row in failing for component in row]
             seen["grid row beside a fallback"] += len(failing) < len(rows)
             seen["several fallback rows"] += len(failing) > 1
             fallbacks.clear()
