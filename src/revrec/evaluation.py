@@ -210,8 +210,11 @@ class SubSelections:
     T_best <= its own hi <= ceiling. So a reviewer with lo > ceiling is
     ahead of it (score +inf) and one with hi < floor behind (-inf). Every
     other reviewer scores its hi: 0 for a zero, above 0 for the rest, the
-    window. A window of two or more gets its exact T (``exact``); one
-    alone is the only finite non-zero score. ``_first_ranks`` then counts
+    window. A window of two or more gets its exact T (``exact``). One
+    alone is the only finite non-zero score, so only its order against
+    the zeros is open: it is ahead of them if lo > 0, and otherwise it gets
+    its exact T too, which may be 0 (the mean of a subnormal S over p >= 2
+    can round to 0) and then ties them. ``_first_ranks`` then counts
     the reviewers ahead by (-score, reviewer id) (Shewchuk's filtered
     exact pattern, Discrete Comput. Geom. 18, 1997).
 
@@ -259,7 +262,7 @@ class SubSelections:
         ceiling = np.where(mine, hi, -np.inf).max(axis=-1, keepdims=True)
         window = ~zero & (lo <= ceiling) & (hi >= floor)
         scores = np.where(lo > ceiling, np.inf, np.where(hi < floor, -np.inf, hi))
-        for q, s in zip(*np.nonzero(window.sum(axis=-1) > 1)):
+        for q, s in zip(*np.nonzero((window.sum(axis=-1) > 1) | (window & (lo <= 0)).any(axis=-1))):
             for r in np.flatnonzero(window[q, s]):
                 scores[q, s, r] = self.exact(columns[q], self.selections[s], r)
         first = _first_ranks(scores, mine, self.id_order).tolist()

@@ -333,9 +333,16 @@ def recommend(
 def _fsums(groups: Sequence[tuple[str, Sequence[int]]], columns: Sequence[Sequence[float]]) -> list[float]:
     """Each group's math.fsum of its records' means, where a record's mean
     is the math.fsum of its values in ``columns`` (one per-record sequence
-    per selected method) over their number p; with p = 1 it is the value."""
+    per selected method) over their number p. With p = 1 it is the value,
+    and with p = 2 ``(a + b) / 2``: IEEE addition is correctly rounded, so
+    it equals ``fsum([a, b]) / 2``."""
     p = len(columns)
-    means = columns[0] if p == 1 else [math.fsum(values) / p for values in zip(*columns)]
+    if p == 1:
+        means = columns[0]
+    elif p == 2:
+        means = [(a + b) / 2 for a, b in zip(*columns)]
+    else:
+        means = [math.fsum(values) / p for values in zip(*columns)]
     return [math.fsum([means[i] for i in ix]) for _, ix in groups]
 
 

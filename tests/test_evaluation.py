@@ -712,10 +712,19 @@ class TestSubSelections:
         # and revb below it and revd above it are decided from the bounds.
         (["reva", "reva", "revb", "revc", "revd"], [0.1, 0.2, 0.3, 0.9, 1.0], {"revc"}, 1, 2, []),
         # A truth alone in the window with a subnormal sum, whose interval
-        # reaches below 0, still ranks above a zero with a lower id.
-        (["reva", "revb"], [0.0, 2**-1074], {"revb"}, 1, 1, []),
+        # reaches below 0, is summed exactly and ranks above a zero with a
+        # lower id.
+        (["reva", "revb"], [0.0, 2**-1074], {"revb"}, 1, 1, ["revb"]),
+        # Its mean over two or three methods rounds to 0, so it ties the
+        # zero and goes after it by id.
+        (["reva", "revb"], [[0.0, 0.0], [2**-1074, 0.0]], {"revb"}, 2, 2, ["revb"]),
+        (["reva", "revb"], [[0.0, 0.0, 0.0], [2**-1074, 0.0, 0.0]], {"revb"}, 3, 2, ["revb"]),
+        # The truth is the zero, and the lone window member, whose mean
+        # rounds to 0, goes after it by id.
+        (["reva", "revb"], [[0.0, 0.0], [2**-1074, 0.0]], {"reva"}, 2, 1, ["revb"]),
     ], ids=["last-bit", "equal-multisets", "naive-misorder", "three-method-means",
-            "truths-around-a-rival", "isolated-truth", "subnormal-alone"])
+            "truths-around-a-rival", "isolated-truth", "subnormal-alone",
+            "subnormal-alone-2", "subnormal-alone-3", "subnormal-rival"])
     def test_near_ties_go_to_the_exact_sums(self, exact_calls, reviewers, values, truth, selection, rank, exact):
         # ``values`` holds one score per record, or one per record and method.
         history = keyed_history(reviewers)
