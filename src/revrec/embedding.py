@@ -2,7 +2,12 @@
 
 The table file is the plain-text vector format: a header line
 ``<count> <dimension>`` followed by one ``<word> <f1> ... <fd>`` line per
-word. A comment becomes the unweighted mean of its in-vocabulary token
+word. A row is split once on whitespace and converted in one
+``np.array(parts, dtype=float)``, which applies Python's ``float`` to each
+string. Finiteness is checked a block of rows at a time, yet errors and
+warnings keep file order: a row's error is raised only once the rows
+before it pass, and a duplicate row is checked in full before its
+warning. A comment becomes the unweighted mean of its in-vocabulary token
 vectors; duplicate tokens count as often as they occur, and
 out-of-vocabulary tokens are skipped. ``comment_vectors`` gives many
 comments' vectors at once, as the same doubles.
@@ -19,6 +24,11 @@ import numpy as np
 
 from .errors import EmbeddingFormatError
 from .fileio import write_replacing
+
+# The loader checks finiteness over the rows it has not yet checked, in one
+# ``np.isfinite`` over at most this many cells, so the check's copy stays
+# small at any table size.
+_FINITE_BLOCK_CELLS = 2**16
 
 
 # eq=False: ndarray values make field-wise comparison ambiguous; compare
@@ -45,7 +55,13 @@ class CommentVector:
 
 
 def load_embedding_table(path: str | Path) -> EmbeddingTable:
-    """Stream a table file; error line numbers are the file's own lines."""
+    """Stream a table file; error line numbers are the file's own lines.
+
+    Each row's components convert as Python's ``float`` would. The first
+    faulty row in file order raises ``EmbeddingFormatError``: a wrong
+    component count, a component ``float`` rejects, or a non-finite one. A
+    duplicate word keeps its first row and warns; a header count unequal
+    to the number of non-blank rows warns."""
     with open(path, encoding="utf-8") as fh:
         return _read_table(path, fh)
 
@@ -68,35 +84,51 @@ def _read_table(path: str | Path, lines: Iterator[str]) -> EmbeddingTable:
         raise EmbeddingFormatError(f"{path}: dimension must be positive, got {dimension}", line_no=1)
 
     entries: dict[str, np.ndarray] = {}
+    pending: dict[int, np.ndarray] = {}  # rows not yet checked for finiteness, by line
+    block_rows = max(1, _FINITE_BLOCK_CELLS // dimension)
+
+    def check_pending() -> None:
+        if pending:
+            finite = np.isfinite(list(pending.values())).all(axis=1)
+            if not finite.all():
+                line_no = list(pending)[int(finite.argmin())]
+                raise EmbeddingFormatError(
+                    f"{path}: line {line_no}: non-finite component", line_no=line_no
+                )
+            pending.clear()
+
+    rows = 0
     for line_no, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
         parts = line.split()
-        word = parts[0]
+        if not parts:
+            continue
+        rows += 1
+        problem = None
         if len(parts) - 1 != dimension:
-            raise EmbeddingFormatError(
-                f"{path}: line {line_no}: expected {dimension} components, got {len(parts) - 1}",
-                line_no=line_no,
-            )
-        try:
-            vector = np.array([float(p) for p in parts[1:]], dtype=float)
-        except ValueError:
-            raise EmbeddingFormatError(
-                f"{path}: line {line_no}: non-numeric component", line_no=line_no
-            ) from None
-        if not np.all(np.isfinite(vector)):
-            raise EmbeddingFormatError(
-                f"{path}: line {line_no}: non-finite component", line_no=line_no
-            )
+            problem = f"expected {dimension} components, got {len(parts) - 1}"
+        else:
+            try:
+                vector = np.array(parts[1:], dtype=float)
+            except ValueError:
+                problem = "non-numeric component"
+        if problem is not None:
+            check_pending()
+            raise EmbeddingFormatError(f"{path}: line {line_no}: {problem}", line_no=line_no)
+        pending[line_no] = vector
+        word = parts[0]
         if word in entries:
+            check_pending()
             warnings.warn(f"{path}: line {line_no}: duplicate word {word!r} ignored", stacklevel=3)
             continue
         entries[word] = vector
+        if len(pending) == block_rows:
+            check_pending()
+    check_pending()
 
     if not entries:
         raise EmbeddingFormatError(f"{path}: no vector rows", line_no=1)
-    if len(entries) != count:
-        warnings.warn(f"{path}: header count {count} != {len(entries)} parsed rows", stacklevel=3)
+    if rows != count:
+        warnings.warn(f"{path}: header count {count} != {rows} parsed rows", stacklevel=3)
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 

@@ -43,18 +43,23 @@ def jaccard(x: Collection[str], y: Collection[str]) -> float:
 
 class TokenPostings:
     """Many token sets, indexed by token for Jaccard against one query set:
-    ``postings[token]`` holds the ascending positions of the sets that
-    contain it, so the first ``n`` sets' positions are a prefix of it."""
+    one array ``positions`` of the positions of the sets holding each
+    token, grouped by token and ascending within a token. ``ids`` numbers
+    the tokens, and token ``t``'s positions are
+    ``positions[starts[t]:starts[t + 1]]``."""
 
     def __init__(self, token_sets: Iterable[Collection[str]]):
-        postings: dict[str, list[int]] = {}
-        sizes = []
+        self.ids: dict[str, int] = {}
+        token_ids, positions, sizes = [], [], []
         for position, tokens in enumerate(token_sets):
             tokens = set(tokens)
             sizes.append(len(tokens))
-            for token in tokens:
-                postings.setdefault(token, []).append(position)
-        self.postings = {token: np.array(ix, dtype=np.intp) for token, ix in postings.items()}
+            token_ids += [self.ids.setdefault(token, len(self.ids)) for token in tokens]
+            positions += [position] * len(tokens)
+        token_ids = np.array(token_ids, dtype=np.intp)
+        # A stable sort keeps each token's positions in ascending order.
+        self.positions = np.array(positions, dtype=np.intp)[np.argsort(token_ids, kind="stable")]
+        self.starts = [0, *np.cumsum(np.bincount(token_ids, minlength=len(self.ids))).tolist()]
         self.sizes = np.array(sizes, dtype=np.int64)
 
     def jaccard(self, query: Collection[str], n: int) -> np.ndarray:
@@ -65,8 +70,13 @@ class TokenPostings:
             # Two empty sets score 1.0, as in ``jaccard``.
             return np.where(sizes == 0, 1.0, 0.0)
         n = len(sizes)
-        hits = [ix[:ix.searchsorted(n)] for ix in map(self.postings.get, tokens) if ix is not None]
-        inter = np.bincount(np.concatenate(hits), minlength=n) if hits else np.zeros(n, np.int64)
+        ids = [self.ids[token] for token in tokens if token in self.ids]
+        if ids:
+            starts = self.starts
+            hits = np.concatenate([self.positions[starts[t]:starts[t + 1]] for t in ids])
+            inter = np.bincount(hits[hits < n], minlength=n)
+        else:
+            inter = np.zeros(n, np.int64)
         return inter / (sizes + len(tokens) - inter)
 
 

@@ -3,10 +3,12 @@
 import random
 import re
 import string
+import warnings
 
 import numpy as np
 import pytest
 
+import revrec.embedding
 from conftest import make_record, random_table
 from revrec.embedding import (
     CommentVector,
@@ -72,6 +74,14 @@ class TestLoadEmbeddingTable:
             table = load_embedding_table(_write(tmp_path, "2 2\napi 1 0\napi 0 1\n"))
         np.testing.assert_array_equal(table.entries["api"], [1.0, 0.0])
 
+    def test_duplicate_counted_by_header_warns_once(self, tmp_path):
+        # The header counts rows, so a duplicate row is counted too.
+        path = _write(tmp_path, "2 2\napi 1 0\napi 0 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_embedding_table(path)
+        assert [str(w.message) for w in caught] == [f"{path}: line 3: duplicate word 'api' ignored"]
+
     def test_count_mismatch_warns(self, tmp_path):
         with pytest.warns(UserWarning, match="header count"):
             table = load_embedding_table(_write(tmp_path, "5 2\napi 1 0\n"))
@@ -86,6 +96,180 @@ class TestLoadEmbeddingTable:
     def test_scientific_notation_and_negatives(self, tmp_path):
         table = load_embedding_table(_write(tmp_path, "1 2\napi -1.5e-3 2E2\n"))
         np.testing.assert_array_equal(table.entries["api"], [-0.0015, 200.0])
+
+
+def _reference_read(path, text):
+    """The loader one row at a time, with Python's ``float`` per component
+    and a finiteness check per row: ``(entries, error, warnings)``, where
+    ``error`` is ``(type, message, line_no)`` or None."""
+    caught = []
+    lines = text.split("\n")  # the test files hold no other line end
+    count, dimension = map(int, lines[0].split())
+    entries, rows = {}, 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        rows += 1
+        parts = line.split()
+        where = f"{path}: line {line_no}:"
+        if len(parts) - 1 != dimension:
+            error = f"{where} expected {dimension} components, got {len(parts) - 1}"
+            return None, (EmbeddingFormatError, error, line_no), caught
+        try:
+            vector = np.array([float(x) for x in parts[1:]], dtype=float)
+        except ValueError:
+            return None, (EmbeddingFormatError, f"{where} non-numeric component", line_no), caught
+        if not np.all(np.isfinite(vector)):
+            return None, (EmbeddingFormatError, f"{where} non-finite component", line_no), caught
+        if parts[0] in entries:
+            caught.append(f"{where} duplicate word {parts[0]!r} ignored")
+            continue
+        entries[parts[0]] = vector
+    if not entries:
+        return None, (EmbeddingFormatError, f"{path}: no vector rows", 1), caught
+    if rows != count:
+        caught.append(f"{path}: header count {count} != {rows} parsed rows")
+    return entries, None, caught
+
+
+def _load_outcome(path):
+    """``load_embedding_table(path)`` as ``(entries, error, warnings)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            entries, error = load_embedding_table(path).entries, None
+        except EmbeddingFormatError as exc:
+            entries, error = None, (type(exc), str(exc), exc.line_no)
+    assert all(w.category is UserWarning for w in caught)
+    return entries, error, [str(w.message) for w in caught]
+
+
+def _component(rng):
+    x = rng.gauss(0, 1) * 10.0 ** rng.randint(-310, 308)
+    return rng.choice([repr, "%.17g".__mod__, "%.6f".__mod__, "%.3e".__mod__])(x)
+
+
+# Each fault replaces one row (or adds a line) of a generated table.
+FAULTS = {
+    "missing component": lambda rng, word, parts: " ".join([word, *parts[:-1]]),
+    "extra component": lambda rng, word, parts: " ".join([word, *parts, "1"]),
+    "non-numeric": lambda rng, word, parts: " ".join(
+        [word, *parts[:-1], rng.choice(["one", "1.2.3", "0x10", "1__0", "1e", "--1", "1\x00"])]),
+    "non-finite": lambda rng, word, parts: " ".join(
+        [word, rng.choice(["nan", "inf", "-inf", "1e400", "-Infinity"]), *parts[1:]]),
+    "duplicate": None,
+    "blank": lambda rng, word, parts: rng.choice(["", "   ", "\t", " \u2028 ", "\x0c"]),
+    "U+2028 inside": lambda rng, word, parts: word + "\u2028" + " ".join(parts),
+}
+
+
+class TestLoaderAgainstReference:
+    # The loader converts a row in one numpy call and checks finiteness once
+    # per block of rows; the reference converts and checks each row alone.
+    # Both must give the same entries, errors and warnings in file order,
+    # whether the blocks hold one row, a few rows or the whole table.
+    @pytest.mark.parametrize("cells", [1, 7, revrec.embedding._FINITE_BLOCK_CELLS])
+    def test_random_faulty_tables(self, tmp_path, monkeypatch, cells):
+        monkeypatch.setattr(revrec.embedding, "_FINITE_BLOCK_CELLS", cells)
+        rng = random.Random(173)
+        # With the default bound each table is one block.
+        mid_file = ["error after a block check"] if cells < 100 else []
+        seen = dict.fromkeys([*FAULTS, "loaded", "raised", *mid_file], 0)
+        for trial in range(300):
+            dimension = rng.randint(1, 6)
+            words = [f"w{i}" for i in range(rng.randint(1, 40))]
+            rows = [(word, [_component(rng) for _ in range(dimension)]) for word in words]
+            lines = [f"{word} {' '.join(parts)}" for word, parts in rows]
+            for fault in rng.sample(list(FAULTS), rng.choice([0, 0, 1, 1, 2, 3])):
+                at = rng.randrange(len(lines) + 1)
+                word, parts = rng.choice(rows)
+                if fault == "duplicate":
+                    lines.insert(at, f"{word} {' '.join(_component(rng) for _ in parts)}")
+                else:
+                    lines.insert(at, FAULTS[fault](rng, word, parts))
+                seen[fault] += 1
+            count = rng.choice([len(lines), len(words)])
+            text = f"{count} {dimension}\n" + "\n".join(lines) + "\n"
+            path = tmp_path / f"t{trial}.txt"
+            path.write_text(text, encoding="utf-8")
+            want_entries, want_error, want_warnings = _reference_read(path, text)
+            entries, error, caught = _load_outcome(path)
+            assert error == want_error and caught == want_warnings, text
+            if error is None:
+                assert list(entries) == list(want_entries)
+                assert all(entries[w].tobytes() == want_entries[w].tobytes() for w in entries)
+                seen["loaded"] += 1
+            else:
+                seen["raised"] += 1
+                if mid_file:
+                    seen["error after a block check"] += error[2] - 1 > max(1, cells // dimension)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("cells", [1, 7, revrec.embedding._FINITE_BLOCK_CELLS])
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("3 2\napi nan 0\nbug 1\n", 2, "non-finite component"),
+        ("3 2\napi 1 0\nbug inf 0\ncat x 0\n", 3, "non-finite component"),
+        ("3 2\napi 1\nbug nan 0\n", 2, "expected 2 components, got 1"),
+        ("3 2\napi 1 one\nbug nan 0\n", 2, "non-numeric component"),
+        ("2 2\napi 1 0\napi inf 0\n", 3, "non-finite component"),
+    ], ids=["non-finite-then-count", "non-finite-then-non-numeric", "count-then-non-finite",
+            "non-numeric-then-non-finite", "non-finite-duplicate"])
+    def test_first_fault_in_file_order_raises(self, tmp_path, monkeypatch, cells, text, line_no, message):
+        monkeypatch.setattr(revrec.embedding, "_FINITE_BLOCK_CELLS", cells)
+        path = _write(tmp_path, text)
+        entries, error, caught = _load_outcome(path)
+        assert error == (EmbeddingFormatError, f"{path}: line {line_no}: {message}", line_no)
+        assert caught == []  # a non-finite duplicate raises before its warning
+        assert (entries, error, caught) == _reference_read(path, text)
+
+    def test_finiteness_check_holds_one_block(self, tmp_path, monkeypatch):
+        # The check's stacked copy never exceeds the block bound in cells.
+        monkeypatch.setattr(revrec.embedding, "_FINITE_BLOCK_CELLS", 12)
+        shapes = []
+        isfinite = np.isfinite
+
+        def recording(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(revrec.embedding.np, "isfinite", recording)
+        rows = "".join(f"w{i} {i} 0 1\n" for i in range(10))
+        table = load_embedding_table(_write(tmp_path, "10 3\n" + rows))
+        monkeypatch.undo()
+        assert len(table) == 10
+        assert shapes == [(4, 3), (4, 3), (2, 3)]
+
+
+class TestNumpyStringConversion:
+    # The loader converts a row's strings with np.array(strs, dtype=float)
+    # and relies on numpy converting each str with Python's float: the same
+    # double, bit for bit, and a ValueError on the same strings. A numpy
+    # that parses strings itself (its str-to-float cast accepts "1\x00")
+    # must fail here.
+    def test_np_array_of_strings_is_float_per_string(self):
+        rng = random.Random(181)
+        values = [rng.gauss(0, 1) * 10.0 ** rng.randint(-320, 308) for _ in range(4000)]
+        values += [5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.0]
+        forms = [repr, "%.17g".__mod__, "%.6f".__mod__, "%.3e".__mod__, "%r".__mod__]
+        strings = [form(x) for x in values for form in forms]
+        strings += ["1_0", "1_000.5", "\u0663\u0664", "\u0661.\u0665e\u0662", "-0.0", "+0", "1e400",
+                    "-1e400", "nan", "-NaN", "inf", "Infinity", "1E5", ".5", "5.", "\uff11\uff12"]
+        got = np.array(strings, dtype=float)
+        assert got.tobytes() == np.array([float(s) for s in strings]).tobytes()
+        for _ in range(3000):
+            s = "".join(rng.choices("0123456789.eE+-_ \x00\u0663nafity", k=rng.randint(0, 6)))
+            try:
+                want = np.array([float(s)]).tobytes()
+            except ValueError:
+                with pytest.raises(ValueError):
+                    np.array([s], dtype=float)
+            else:
+                assert np.array([s], dtype=float).tobytes() == want, repr(s)
+        for bad in ["", "1\x00", "0x10", "1__0", "_1", "1e", "--1", "one", "1.2.3", "\u2167"]:
+            with pytest.raises(ValueError):
+                float(bad)
+            with pytest.raises(ValueError):
+                np.array(["1", bad], dtype=float)
 
 
 class TestRoundTrip:

@@ -402,8 +402,9 @@ class TestPrefixViews:
                 for method in (MethodId.FP_JC, MethodId.RC_JC):
                     postings = step.features[method if method is MethodId.FP_JC else (method, stopwords)]
                     n = len(step.keys[_FIELD[method]][0])
-                    seen["postings past the cut"] += any(
-                        ix[0] < n <= ix[-1] for ix in postings.postings.values())
+                    starts = np.array(postings.starts)
+                    first, last = postings.positions[starts[:-1]], postings.positions[starts[1:] - 1]
+                    seen["postings past the cut"] += bool(np.any((first < n) & (n <= last)))
                 longest = max(len(r.file_path) for r in step)
                 if longest + 1 < step.features[MethodId.FP_HD].codes.shape[1]:
                     seen["query between widths"] += 1
