@@ -180,6 +180,6 @@ def comment_vectors(comments: Sequence[Sequence[str]], table: EmbeddingTable) ->
             by_count.setdefault(len(ids), []).append(row)
     for members in by_count.values():
         rows[members] = np.mean(vectors[[found[row] for row in members]], axis=1)
-    if not np.isfinite(np.sum(rows, axis=1)).all():  # defensive; load guarantees finite entries
+    if not np.isfinite(rows).all():  # a mean may overflow; load guarantees finite entries
         raise EmbeddingFormatError("non-finite comment vector")
     return rows

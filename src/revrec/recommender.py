@@ -27,12 +27,15 @@ A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.
 Both rankers take their history as a ``History``: the records with their
 distinct keys, reviewer groups and, from each method's first use, that
-method's (or the baseline's) features of the distinct keys (see
-``similarity``), so that each method scores as one array pass per query,
-with the same doubles as ``method_score``. ``History.prefix`` cuts all of
-these from a longer history instead of building them again;
-``History.group_sums``, which sums per-key values onto reviewers for
-evaluation's filter and the baseline's sums, belongs to one History.
+method's features of the distinct keys (see ``similarity``), so that each
+method scores as one array pass per query, with the same doubles as
+``method_score``. FP_HD and the baseline read one packed-path feature,
+and RC_CS's comment vectors carry their comment lookup.
+``History.prefix`` cuts all of these from a longer history instead of
+building them again. The reviewer groups of a History and of a prefix
+are laid out by one routine, from which ``History.group_sums`` sums
+per-key values onto reviewers for evaluation's filter and the
+baseline's sums.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -53,7 +56,6 @@ from .corpus import ReviewRecord
 from .embedding import EmbeddingTable, comment_vector, comment_vectors
 from .errors import ConfigurationError, EmptyHistoryError
 from .similarity import (
-    PathCodes,
     PathOverlaps,
     TokenPostings,
     VectorRows,
@@ -175,31 +177,23 @@ def _distinct(history: Sequence[ReviewRecord], field: str) -> tuple[list[ReviewR
     return [past for _, past in seen.values()], positions
 
 
-def _id_order(groups: Sequence[tuple[str, Sequence[int]]]) -> np.ndarray:
-    """Each reviewer's place in the order of the reviewer ids."""
-    order = np.empty(len(groups), dtype=np.intp)
-    order[sorted(range(len(groups)), key=lambda r: groups[r][0])] = range(len(groups))
-    return order
-
-
 class History(tuple):
     """A non-empty tuple of review records with what depends on them alone,
     built once: ``keys[field]`` is ``_distinct`` of ``file_path`` and of
     ``comment``, ``positions[field]`` is its record positions as an index
-    array, ``comment_index`` maps each distinct comment to its position,
-    ``groups`` holds each reviewer with the indices of its records, and
-    ``id_order`` each reviewer's place in the order of their ids.
-    ``History(h)`` returns ``h`` when it already is one.
+    array, and ``groups`` holds each reviewer with the indices of its
+    records, laid out by ``_lay_out``. ``History(h)`` returns ``h`` when it
+    already is one.
 
     ``feature`` builds a method's (or REVFINDER's) features of the
-    distinct keys on first use and keeps them: comment features per
-    stop-word list, comment vectors per table (the table object itself is
-    the key), built in one pass (``embedding.comment_vectors``). Until
-    then a key that a method cannot score raises nothing, so a history
-    whose paths have no tokens still serves the comment methods.
-    ``group_sums`` likewise orders each field's keys by reviewer group on
-    first use. Two threads that race on a first use both build, and either
-    equal result is kept."""
+    distinct keys on first use and keeps them: FP_HD reads REVFINDER's
+    packed paths, comment features are kept per stop-word list, and
+    comment vectors per table (the table object itself is the key), built
+    in one pass (``embedding.comment_vectors``) with their comment lookup.
+    Until then a key that a method cannot score raises nothing, so a
+    history whose paths have no tokens still serves the comment methods;
+    FP_HD raises on an empty path when it scores it. Two threads that race
+    on a first use both build, and either equal result is kept."""
 
     def __new__(cls, records: Iterable[ReviewRecord]):
         if isinstance(records, History):
@@ -209,29 +203,37 @@ class History(tuple):
             raise EmptyHistoryError("cannot recommend from an empty history")
         self.keys = {field: _distinct(self, field) for field in ("file_path", "comment")}
         self.positions = {f: np.array(ix, dtype=np.intp) for f, (_, ix) in self.keys.items()}
-        self.comment_index = {r.comment: k for k, r in enumerate(self.keys["comment"][0])}
-        self.features, self.tallies = {}, {}
+        self.features = {}
         groups: dict[str, list[int]] = {}
         for idx, past in enumerate(self):
             groups.setdefault(past.reviewer_id, []).append(idx)
-        self.groups = tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items())
-        self.id_order = _id_order(self.groups)
+        self._lay_out(tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items()))
         return self
+
+    def _lay_out(self, groups: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
+        """Set ``groups``, ``id_order`` (each reviewer's place in the order
+        of the reviewer ids), ``grouped`` (the record indices in groups
+        order) and ``group_starts`` (each group's first place in ``grouped``)."""
+        self.groups = groups
+        self.id_order = np.empty(len(groups), dtype=np.intp)
+        self.id_order[sorted(range(len(groups)), key=lambda r: groups[r][0])] = range(len(groups))
+        self.grouped = np.array([i for _, ix in groups for i in ix], dtype=np.intp)
+        self.group_starts = np.cumsum([0] + [len(ix) for _, ix in groups[:-1]])
 
     def prefix(self, m: int) -> History:
         """The History of the first ``m`` records, cut from this one's: a
         prefix's distinct keys in first-seen order are this one's first K,
         and it scores with this one's features so far over their first K.
-        It shares this one's ``comment_index``, whose later keys hold
-        vectors in those features that a query may read."""
+        It keeps its own copy of the feature dict, so what it builds later
+        is its own, and it scores and raises like ``History`` of its
+        records."""
         if m < 1:
             raise EmptyHistoryError("cannot recommend from an empty history")
         part = tuple.__new__(History, self[:m])
         part.positions = {f: ix[:m] for f, ix in self.positions.items()}
         part.keys = {f: (h[:part.positions[f].max() + 1], ix[:m]) for f, (h, ix) in self.keys.items()}
-        part.comment_index, part.features, part.tallies = self.comment_index, dict(self.features), {}
-        part.groups = tuple((r, ix[:bisect_left(ix, m)]) for r, ix in self.groups if ix[0] < m)
-        part.id_order = _id_order(part.groups)
+        part.features = dict(self.features)
+        part._lay_out(tuple((r, ix[:bisect_left(ix, m)]) for r, ix in self.groups if ix[0] < m))
         return part
 
     def feature(
@@ -239,20 +241,21 @@ class History(tuple):
         method: MethodId | str,
         table: EmbeddingTable | None = None,
         stopwords: frozenset[str] | None = None,
-    ) -> TokenPostings | PathCodes | VectorRows | PathOverlaps:
+    ) -> TokenPostings | VectorRows | PathOverlaps:
         """``method``'s features of the distinct keys of its field: token
-        postings, padded code points, comment vectors or, for REVFINDER,
-        the paths packed for its overlaps (see ``similarity``)."""
-        key = {MethodId.RC_JC: (method, stopwords),
+        postings, comment vectors or, for FP_HD and REVFINDER, the paths
+        packed for adapted Hamming and the overlaps (see ``similarity``)."""
+        key = {MethodId.FP_HD: REVFINDER,
+               MethodId.RC_JC: (method, stopwords),
                MethodId.RC_CS: (method, table, stopwords)}.get(method, method)
         built = self.features.get(key)
         if built is None:
             holders = self.keys[_FIELD[method]][0]
             if method is MethodId.RC_CS:
                 comments = [preprocess_comment(r.comment, stopwords) for r in holders]
-                built = VectorRows(comment_vectors(comments, _required(table)))
+                built = VectorRows([r.comment for r in holders], comment_vectors(comments, _required(table)))
             else:
-                kind = {MethodId.FP_HD: PathCodes, REVFINDER: PathOverlaps}.get(method, TokenPostings)
+                kind = PathOverlaps if key == REVFINDER else TokenPostings
                 built = kind([_compared(method, r, table, stopwords) for r in holders])
             self.features[key] = built
         return built
@@ -270,10 +273,10 @@ class History(tuple):
         built = self.feature(method, table, stopwords)
         n = len(self.keys[_FIELD[method]][0])
         if method is MethodId.RC_CS:
-            # A comment of the run's History (a prefix shares its index)
-            # has its vector among the rows already.
-            row = self.comment_index.get(query.comment, len(built.rows))
-            if row < len(built.rows):
+            # A comment the rows were built from (a prefix may read its
+            # whole's) has its vector among them.
+            row = built.index.get(query.comment)
+            if row is not None:
                 return built.cosine(built.rows[row], n)
         compared = _compared(method, query, table, stopwords)
         if method is MethodId.FP_HD:
@@ -285,14 +288,8 @@ class History(tuple):
         its records' values, from ``values`` per distinct key of ``field``
         (last axis, in ``keys`` order): one gather and one
         ``np.add.reduceat`` over the records in ``groups`` order, with no
-        BLAS call. A prefix builds its own record order."""
-        built = self.tallies.get(field)
-        if built is None:
-            records = np.concatenate([ix for _, ix in self.groups]).astype(np.intp)
-            starts = np.cumsum([0] + [len(ix) for _, ix in self.groups[:-1]])
-            built = self.tallies[field] = self.positions[field][records], starts
-        keys, starts = built
-        return np.add.reduceat(values[..., keys], starts, axis=-1)
+        BLAS call."""
+        return np.add.reduceat(values[..., self.positions[field][self.grouped]], self.group_starts, axis=-1)
 
 
 def _is_method_set(selection: object) -> bool:

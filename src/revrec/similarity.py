@@ -3,7 +3,7 @@ and cosine similarity, and REVFINDER's four path overlaps.
 
 All kernels are symmetric and return a float in [0, 1]. Each also has a
 batched form that scores one query against many keys in one array pass:
-``TokenPostings.jaccard``, ``PathCodes.adapted_hamming`` and
+``TokenPostings.jaccard``, ``PathOverlaps.adapted_hamming`` and
 ``VectorRows.cosine``. A batched score is the same double as the scalar
 kernel's on that pair: the integer counts are exact, int64 / int64
 divides like Python's int / int, and ``cosine`` sums with ``np.sum``,
@@ -80,7 +80,8 @@ class TokenPostings:
         return inter / (sizes + len(tokens) - inter)
 
 
-def _require_paths(*paths: str) -> None:
+def _require_paths(*paths: str | bool) -> None:
+    """Raise unless every path is non-empty (a flag stands for several)."""
     if not all(paths):
         raise ValidationError("paths must be non-empty", field="file_path")
 
@@ -104,32 +105,6 @@ def adapted_hamming_similarity(p: str, q: str) -> float:
 
 def _code_points(path: str) -> np.ndarray:
     return np.fromiter(map(ord, path), dtype=np.int32, count=len(path))
-
-
-class PathCodes:
-    """Many paths as rows of code points padded with -1, for adapted
-    Hamming against one query path."""
-
-    def __init__(self, paths: Sequence[str]):
-        _require_paths(*paths)
-        self.codes = np.full((len(paths), max(map(len, paths))), -1, dtype=np.int32)
-        for row, path in zip(self.codes, paths):
-            row[:len(path)] = _code_points(path)
-
-    def adapted_hamming(self, path: str, n: int) -> np.ndarray:
-        """``adapted_hamming_similarity(path, p)`` for each of the first ``n`` paths ``p``."""
-        _require_paths(path)
-        codes = self.codes[:n]
-        width = codes.shape[1]
-        query = np.full(width, -1, dtype=np.int32)
-        query[:len(path)] = _code_points(path[:width])
-        # Padding never equals a code point, so two padded rows differ at
-        # the mismatches over the shorter length and at every position of
-        # the longer path past it; query characters past ``width`` differ
-        # from every row.
-        d = np.count_nonzero(codes != query, axis=1) + max(len(path) - width, 0)
-        # d is 0 exactly for identical paths, which score 1.0.
-        return 1.0 / np.maximum(d, 1)
 
 
 def _pack(bits: np.ndarray) -> int:
@@ -156,20 +131,24 @@ def _first_mismatch(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class PathOverlaps:
-    """Many paths, for REVFINDER's four overlaps against one query path:
-    common prefix, common suffix, longest common substring and longest
-    common subsequence, each over the longer path's length.
+    """Many paths, for REVFINDER's four overlaps and FP_HD's adapted
+    Hamming against one query path. The overlaps are the common prefix,
+    common suffix, longest common substring and longest common
+    subsequence, each over the longer path's length.
 
     Path k holds bits ``starts[k]`` to ``starts[k] + len(k) - 1`` of one
     bit-vector (a Python int), and the bit above them is a guard that no
     character's mask sets, so the first ``n`` paths are its low
     ``starts[n]`` bits and a carry or shift out of a path stops in its
     guard (the packing of Hyyrö, Fredriksson & Navarro, JEA 2006). The
-    prefix and suffix come from rows of forward and reversed code points
-    padded with -1. Paths may be empty."""
+    prefix and suffix come from ``rows``, the forward and reversed code
+    points padded with -1; adapted Hamming reads the forward ones. Paths
+    may be empty; adapted Hamming raises on one when it scores it."""
 
     def __init__(self, paths: Sequence[str]):
         self.lengths = np.array([len(path) for path in paths], dtype=np.int64)
+        # Adapted Hamming scores only the paths before the first empty one.
+        self.scorable = next((k for k, path in enumerate(paths) if not path), len(paths))
         self.starts = np.concatenate(([0], np.cumsum(self.lengths + 1)))
         codes = _code_points("\0".join(paths) + "\0")
         codes[self.starts[1:] - 1] = -1
@@ -180,6 +159,21 @@ class PathOverlaps:
         for k, path in enumerate(paths):
             self.rows[0, k, :len(path)] = _code_points(path)
             self.rows[1, k, :len(path)] = _code_points(path[::-1])
+
+    def adapted_hamming(self, path: str, n: int) -> np.ndarray:
+        """``adapted_hamming_similarity(path, p)`` for each of the first ``n`` paths ``p``."""
+        _require_paths(path, n <= self.scorable)
+        codes = self.rows[0, :n]
+        width = codes.shape[1]
+        query = np.full(width, -1, dtype=np.int32)
+        query[:len(path)] = _code_points(path[:width])
+        # Padding never equals a code point, so two padded rows differ at
+        # the mismatches over the shorter length and at every position of
+        # the longer path past it; query characters past ``width`` differ
+        # from every row.
+        d = np.count_nonzero(codes != query, axis=1) + max(len(path) - width, 0)
+        # d is 0 exactly for identical paths, which score 1.0.
+        return 1.0 / np.maximum(d, 1)
 
     def overlaps(self, path: str, n: int) -> np.ndarray:
         """A 4 × ``n`` array: for each of the first ``n`` paths ``p``, the
@@ -260,10 +254,12 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
 
 
 class VectorRows:
-    """Many vectors stacked as the rows of one matrix, with their norms,
-    for cosine against one query vector."""
+    """The vectors of many distinct comments stacked as the rows of one
+    matrix, with their norms, for cosine against one query vector;
+    ``index`` maps each comment to its row."""
 
-    def __init__(self, vectors: Sequence[np.ndarray]):
+    def __init__(self, comments: Sequence[str], vectors: Sequence[np.ndarray]):
+        self.index = {comment: row for row, comment in enumerate(comments)}
         self.rows = np.array(vectors, dtype=float)
         self.norms = np.sqrt(np.sum(self.rows * self.rows, axis=1))
 

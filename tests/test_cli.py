@@ -383,6 +383,19 @@ class TestEvaluate:
         ])
         assert code == 0
 
+    def test_rc_cs_with_a_finite_vector_whose_components_sum_past_the_largest_double(
+            self, tmp_path, capsys):
+        records = random_records(random.Random(4), 20)
+        records[3] = replace(records[3], comment="big zzq")  # its one in-vocabulary token
+        corpus_path, vectors_path = tmp_path / "big.jsonl", tmp_path / "big.txt"
+        save_corpus(Corpus(project="synth", records=tuple(records)), corpus_path)
+        vectors_path.write_text("2 2\nbig 1e308 1e308\napi 1 0\n")
+        code = cli.main([
+            "evaluate", "--corpus", str(corpus_path), "--methods", "RC_CS",
+            "--embeddings", str(vectors_path), "--k", "1", "--out", str(tmp_path / "cs"),
+        ])
+        assert code == 0, capsys.readouterr().err
+
     def test_embeddings_read_only_for_rc_cs(self, synth_file, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         code = cli.main([

@@ -438,3 +438,8 @@ class TestCommentVectors:
             comment_vectors([["ok"], ["big", "big"]], table)
         assert str(got.value) == str(want.value)
         np.testing.assert_array_equal(comment_vectors([["ok"], []], table), [[1.0, 2.0], [0.0, 0.0]])
+
+    def test_finite_mean_whose_components_sum_past_the_largest_double_is_kept(self):
+        # The guard tests each component, not a row's sum.
+        table = EmbeddingTable(2, {"big": np.array([1e308, 1e308])})
+        np.testing.assert_array_equal(comment_vectors([["big"]], table), [[1e308, 1e308]])

@@ -389,11 +389,12 @@ class TestScoreOncePerQuery:
     @pytest.mark.parametrize("sampling", list(Sampling))
     def test_each_method_is_one_array_pass_over_features_built_once_per_run(
             self, monkeypatch, sampling):
-        # FP_JC and RC_JC build TokenPostings, FP_HD PathCodes and RC_CS
-        # VectorRows; no score goes through the per-pair method_score.
+        # FP_JC and RC_JC build TokenPostings, FP_HD PathOverlaps (which
+        # REVFINDER shares) and RC_CS VectorRows; no score goes through the
+        # per-pair method_score.
         rng = random.Random(94)
         corpus = Corpus(project="synth", records=tuple(random_records(rng, 40)))
-        calls = {"method_score": 0, "TokenPostings": 0, "PathCodes": 0, "VectorRows": 0}
+        calls = {"method_score": 0, "TokenPostings": 0, "PathOverlaps": 0, "VectorRows": 0}
         for name in calls:
             inner = getattr(revrec.recommender, name)
 
@@ -404,7 +405,7 @@ class TestScoreOncePerQuery:
             monkeypatch.setattr(revrec.recommender, name, counting)
         config = EvalConfig(methods=compare_selections(), sampling=sampling)
         run_eval(corpus, config, random_table(rng))
-        assert calls == {"method_score": 0, "TokenPostings": 2, "PathCodes": 1, "VectorRows": 1}
+        assert calls == {"method_score": 0, "TokenPostings": 2, "PathOverlaps": 1, "VectorRows": 1}
 
     @staticmethod
     def _step_queries(config, n):

@@ -320,7 +320,15 @@ class TestBatchedScores:
                 with pytest.raises(ValidationError) as got:
                     recommend(query, history, frozenset({method}), tiny_table)
                 assert str(got.value) == str(want.value)
-                assert method not in history.features
+                if method is MethodId.FP_HD:
+                    # FP_HD reads REVFINDER's packed paths, which hold the
+                    # empty path: they were built and kept, and only scoring
+                    # raised, so REVFINDER still ranks from them.
+                    built = history.features[REVFINDER]
+                    assert revfinder_recommend(query, history).reviewers()
+                    assert history.features[REVFINDER] is built
+                else:
+                    assert method not in history.features
             else:  # the comment methods never read the paths
                 method_score(query, bad, method, tiny_table)
                 recommend(query, history, frozenset({method}), tiny_table)
@@ -347,7 +355,7 @@ class TestBatchedScores:
         for _ in range(2):
             for table, stopwords in ((first, None), (second, None), (first, stop)):
                 recommend(query, history, frozenset(MethodId), table, stopwords)
-        assert len(history.features) == 2 + 2 + 3  # FP_JC, FP_HD; RC_JC x 2; RC_CS x 3
+        assert len(history.features) == 2 + 2 + 3  # FP_JC, FP_HD (as REVFINDER); RC_JC x 2; RC_CS x 3
         built = dict(history.features)
         recommend(query, history, frozenset(MethodId), first, stop)
         assert all(history.features[key] is built[key] for key in built)
@@ -365,7 +373,7 @@ class TestPrefixViews:
         for trial in range(24):
             hist = edge_history(rng) + random_records(rng, 12)
             # A path wider than every other, at a position that fixed
-            # sampling tests, so that the whole's PathCodes are wider than
+            # sampling tests, so that the whole's packed paths are wider than
             # some step's paths.
             long_path = "w/" * rng.randint(20, 40) + "z.py"
             hist.insert(rng.choice(fixed_test_indices(len(hist) + 1, 0.10, 0)), make_record(
@@ -406,7 +414,7 @@ class TestPrefixViews:
                     first, last = postings.positions[starts[:-1]], postings.positions[starts[1:] - 1]
                     seen["postings past the cut"] += bool(np.any((first < n) & (n <= last)))
                 longest = max(len(r.file_path) for r in step)
-                if longest + 1 < step.features[MethodId.FP_HD].codes.shape[1]:
+                if longest + 1 < step.features[REVFINDER].rows.shape[2]:
                     seen["query between widths"] += 1
                     queries = queries + [make_record(change_id="q", file_path="a" * (longest + 1))]
                 for query in queries:
@@ -418,9 +426,9 @@ class TestPrefixViews:
 
 
     def test_features_a_prefix_builds_score_every_query_like_a_fresh_history(self):
-        # A prefix that builds a feature itself holds rows for its own keys
-        # only, while it shares the whole's index of later keys; a query
-        # whose comment is one of those is scored from its own vector.
+        # A prefix that builds a feature itself holds rows, and RC_CS's
+        # comment lookup, for its own keys only; a query whose comment is a
+        # later key of the whole is scored from its own vector.
         rng = random.Random(157)
         hist = repeated_key_history(rng)
         table = float_table(rng, 7)
@@ -432,6 +440,59 @@ class TestPrefixViews:
                     got = part.scores(query, method, table).tolist()
                     want = fresh.scores(query, method, table).tolist()
                     assert [x.hex() for x in got] == [x.hex() for x in want], (m, method, query)
+
+
+    def test_prefix_of_a_prefix_equals_a_fresh_history(self):
+        # Features built on the whole, on the middle prefix and on the last
+        # one in turn: each is cut again or built anew, and every score is
+        # a fresh History's.
+        rng = random.Random(163)
+        for trial in range(6):
+            hist = repeated_key_history(rng)
+            table = float_table(rng, rng.randint(1, 9))
+            whole = History(hist)
+            if trial % 2:
+                recommend(hist[0], whole, frozenset(MethodId), table)
+                revfinder_recommend(hist[0], whole)
+            m = rng.randint(2, len(hist))
+            middle = whole.prefix(m)
+            if trial % 3 == 0:
+                recommend(hist[-1], middle, frozenset(MethodId), table)
+            k = rng.randint(1, m)
+            part, fresh = middle.prefix(k), History(hist[:k])
+            assert part.keys == fresh.keys and part.groups == fresh.groups
+            assert part.id_order.tolist() == fresh.id_order.tolist()
+            for field in ("file_path", "comment"):
+                assert part.positions[field].tolist() == fresh.positions[field].tolist()
+            for query in rng.sample(hist, 6) + random_records(rng, 2):
+                for method in MethodId:
+                    got = part.scores(query, method, table).tolist()
+                    want = fresh.scores(query, method, table).tolist()
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (k, method, query)
+                assert revfinder_recommend(query, part) == revfinder_recommend(query, fresh)
+
+    def test_empty_path_after_the_cut(self):
+        # REVFINDER's packed paths are built on the whole, which holds an
+        # empty path after the cut; the prefix reads them for FP_HD.
+        rng = random.Random(167)
+        hist = random_records(rng, 12)
+        hist.insert(9, make_record(change_id="e", file_path="", comment="api layer"))
+        whole = History(hist)
+        query = hist[2]
+        assert revfinder_recommend(query, whole).reviewers()
+        built = whole.features[REVFINDER]
+        part, fresh = whole.prefix(9), History(hist[:9])
+        assert part.features[REVFINDER] is built
+        for other in hist[:9] + random_records(rng, 3):
+            got = part.scores(other, MethodId.FP_HD).tolist()
+            want = fresh.scores(other, MethodId.FP_HD).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want], other
+        with pytest.raises(ValidationError) as want:
+            method_score(query, hist[9], MethodId.FP_HD)
+        with pytest.raises(ValidationError) as got:
+            recommend(query, whole, frozenset({MethodId.FP_HD}))
+        assert str(got.value) == str(want.value)
+        assert revfinder_recommend(query, whole).reviewers()
 
 
 class TestCommentVectorCache:
