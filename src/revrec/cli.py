@@ -18,7 +18,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .corpus import ReviewRecord, load_corpus, read_record_file
-from .embedding import EmbeddingTable, load_embedding_table
+from .embedding import load_embedding_table
 from .errors import ConfigurationError, RevRecError
 from .evaluation import EvalConfig, Sampling, run_eval
 from .recommender import (
@@ -39,14 +39,14 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"{WARNING_PREFIX} {message}", file=sys.stderr)
 
 
-def _load_table(args, selections) -> EmbeddingTable | None:
-    """The --embeddings table, read only when some selection holds RC_CS,
-    which fails here, before any output, when no table is given."""
+def _needs_table(args, selections) -> bool:
+    """Whether some selection holds RC_CS, which fails here, before any
+    file is read, when no --embeddings table is given."""
     if not any(s != REVFINDER and MethodId.RC_CS in s for s in selections):
-        return None
+        return False
     if args.embeddings is None:
         _required(None)  # raises recommend's own error for a missing table
-    return load_embedding_table(args.embeddings)
+    return True
 
 
 def _load_stopwords(args) -> frozenset[str] | None:
@@ -84,15 +84,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    corpus = load_corpus(args.corpus, args.project)
+    # Every argument is checked before the first file is read.
     selection = parse_method_selection(args.methods)
-    table = _load_table(args, (selection,))
-    stopwords = _load_stopwords(args)
-
+    needs_table = _needs_table(args, (selection,))
     if not args.file_path.strip():
         raise ConfigurationError("--file-path must be non-empty")
     if args.top_n < 1:
         raise ConfigurationError(f"--top-n must be at least 1, got {args.top_n}")
+    corpus = load_corpus(args.corpus, args.project)
+    table = load_embedding_table(args.embeddings) if needs_table else None
+    stopwords = _load_stopwords(args)
     query = ReviewRecord(
         change_id="query",
         patch_id="query",
@@ -138,12 +139,17 @@ def compare_selections() -> tuple:
     return tuple(selections)
 
 
-def _write_report(report, out: str) -> None:
+def _report_base(out: str) -> Path:
+    """The --out path without its .csv or .txt suffix, if any."""
     base = Path(out)
     if base.name in ("", ".."):
-        raise ConfigurationError(f"--out {out!r} names a directory, not a report path")
+        raise argparse.ArgumentTypeError(f"{out!r} names a directory, not a report path")
     if base.suffix in (".csv", ".txt"):
         base = base.with_suffix("")
+    return base
+
+
+def _write_report(report, base: Path) -> None:
     base.parent.mkdir(parents=True, exist_ok=True)
     # Appended, not swapped in: "exp.1" and "exp.2" must not share "exp.csv".
     csv_path = Path(f"{base}.csv")
@@ -154,9 +160,7 @@ def _write_report(report, out: str) -> None:
 
 
 def _run_eval_command(args, methods: tuple) -> int:
-    corpus = load_corpus(args.corpus, args.project)
-    table = _load_table(args, methods)
-    stopwords = _load_stopwords(args)
+    # Every argument is checked before the first file is read.
     config = EvalConfig(
         methods=methods,
         sampling=Sampling(args.sampling),
@@ -165,6 +169,10 @@ def _run_eval_command(args, methods: tuple) -> int:
         steps=args.steps,
         rng_seed=args.seed,
     )
+    needs_table = _needs_table(args, methods)
+    corpus = load_corpus(args.corpus, args.project)
+    table = load_embedding_table(args.embeddings) if needs_table else None
+    stopwords = _load_stopwords(args)
     print(f"seed={config.rng_seed}")
     report = run_eval(corpus, config, table, stopwords, jobs=args.jobs)
     print(report.to_table_text(), end="")
@@ -209,7 +217,7 @@ def _add_eval_options(sub) -> None:
     sub.add_argument("--steps", type=int, default=4, help="incremental sampling steps")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed; fixes all randomness")
     sub.add_argument("--k", type=_parse_k_list, default=[1, 3, 5, 10], help="comma-separated ks")
-    sub.add_argument("--out", default=None, help="report path; writes <base>.csv and <base>.txt")
+    sub.add_argument("--out", type=_report_base, help="report path; writes <base>.csv and <base>.txt")
     sub.add_argument(
         "--jobs", type=int, default=1, help="accepted; evaluation runs serially (no effect)"
     )

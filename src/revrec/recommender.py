@@ -14,8 +14,9 @@ rankings that are merged by Borda count. ``revfinder_points`` gives
 those points for queries on several paths at once, and
 ``revfinder_recommend`` is its one-path case. The overlaps are exact
 integer kernels over all distinct paths at once
-(``similarity.PathOverlaps``); ``_path_overlap_scores`` is their one-pair
-reference. The reviewer sums come from the distinct paths' overlaps,
+(``similarity.PathOverlaps``), whose reference is the textbook dynamic
+programs of ``tests/oracle.py``; ``_path_overlap_scores`` is a one-pair
+shell over them that only the benchmark reads. The reviewer sums come from the distinct paths' overlaps,
 split at a grid per query path that makes both sums over each
 reviewer's records exact (``_reviewer_sums``), so they are the doubles
 ``_fsums`` gives, which sums a query path the grid cannot hold; the four
@@ -351,57 +352,12 @@ def _entries(history: History, totals: Sequence[float]) -> tuple[tuple[str, floa
     return tuple(sorted(ranked, key=lambda entry: (-entry[1], entry[0])))
 
 
-# Baseline string-overlap components, computed on raw path characters and
-# normalized by the longer path's length.
-
-def _lcp_len(p: str, q: str) -> int:
-    n = 0
-    for a, b in zip(p, q):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
-def _lcsubstr_len(p: str, q: str) -> int:
-    # A common substring of length L ending at p[i] implies one of length
-    # L - 1, so ``best`` only grows: each substring search either raises it
-    # or moves on to the next end position.
-    best = 0
-    for i in range(len(p)):
-        while best <= i and p[i - best:i + 1] in q:
-            best += 1
-    return best
-
-
-def _lcsubseq_len(p: str, q: str) -> int:
-    # Bit-parallel LCS length (Hyyrö 2004). After reading p[:i], bit j of
-    # ``v`` is clear exactly where LCS(p[:i], q[:j + 1]) exceeds
-    # LCS(p[:i], q[:j]), so the clear bits count LCS(p[:i], q).
-    masks: dict[str, int] = {}
-    for j, b in enumerate(q):
-        masks[b] = masks.get(b, 0) | (1 << j)
-    full = (1 << len(q)) - 1
-    v = full
-    for a in p:
-        u = v & masks.get(a, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(q) - v.bit_count()
-
-
 @lru_cache(maxsize=65536)
 def _path_overlap_scores(p: str, q: str) -> tuple[float, float, float, float]:
-    """One pair's four overlaps: the scalar reference that
-    ``PathOverlaps.overlaps`` equals path by path."""
-    longer = max(len(p), len(q))
-    if longer == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    return (
-        _lcp_len(p, q) / longer,
-        _lcp_len(p[::-1], q[::-1]) / longer,
-        _lcsubstr_len(p, q) / longer,
-        _lcsubseq_len(p, q) / longer,
-    )
+    """One pair's four overlaps, from a one-path ``PathOverlaps``. Nothing
+    in revrec calls it: it stays only until the benchmark stops reading
+    its cache as ``recommender.path_overlap.hit_ratio``."""
+    return tuple(PathOverlaps([q]).overlaps(p, 1)[:, 0].tolist())
 
 
 def _reviewer_sums(history: History, field: str, values: np.ndarray) -> np.ndarray:

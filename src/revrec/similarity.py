@@ -8,10 +8,12 @@ batched form that scores one query against many keys in one array pass:
 kernel's on that pair: the integer counts are exact, int64 / int64
 divides like Python's int / int, and ``cosine`` sums with ``np.sum``,
 whose pairwise sum of a row alone equals that row's sum in an axis-1
-reduction. ``PathOverlaps.overlaps`` gives REVFINDER's common prefix,
-suffix, substring and subsequence of one query path and many paths in
-one pass, from one bit-vector of all the paths (the scalar reference is
-``recommender._path_overlap_scores``). It takes the prefix and suffix
+reduction; a pair whose squared norms lose bits or overflow is scored
+by ``cosine`` from the vectors scaled by powers of two.
+``PathOverlaps.overlaps`` gives REVFINDER's common prefix, suffix,
+substring and subsequence of one query path and many paths in one pass,
+from one bit-vector of all the paths; its reference is the textbook
+dynamic programs of ``tests/oracle.py``. It takes the prefix and suffix
 first: a path whose prefix or suffix with the query spans the shorter of
 the two has that length as its longest common substring, so the
 substring levels skip it, and the run lengths of the rest are read from
@@ -230,52 +232,68 @@ class PathOverlaps:
         return np.array([prefix, suffix, substring, subsequence]) / longer
 
 
+_NORMAL = float(np.finfo(float).tiny)  # a smaller squared norm has lost bits to underflow
+
+
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
     """Cosine of the angle between u and v, clamped to [0, 1].
 
-    Zero-norm input (e.g. the zero vector of an all-out-of-vocabulary
-    comment) scores 0 against anything.
+    A zero vector (e.g. that of an all-out-of-vocabulary comment) scores 0
+    against anything, and a vector scores exactly 1 against itself.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValidationError(f"vector length mismatch: {u.shape} vs {v.shape}")
+    if not u.any() or not v.any():
+        return 0.0
     # np.sum, not u.dot: ``VectorRows.cosine`` reduces along rows with
     # np.sum, and the two forms differ in the last bit.
-    nu = math.sqrt(float(np.sum(u * u)))
-    nv = math.sqrt(float(np.sum(v * v)))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf
+        uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
+    if not (min(uu, vv) >= _NORMAL and math.sqrt(uu) * math.sqrt(vv) < math.inf):
+        # A squared norm lost bits or overflowed, or the norms' product overflows: scaled
+        # by powers of two to largest magnitudes in [0.5, 1), the vectors keep their angle.
+        u, v = (np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]) for x in (u, v))
+        uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
     if np.array_equal(u, v):
         # identity must score exactly 1; dot/norm rounding can land below
         return 1.0
-    value = float(np.sum(u * v)) / (nu * nv)
+    value = float(np.sum(u * v)) / (math.sqrt(uu) * math.sqrt(vv))
     return min(1.0, max(0.0, value))
 
 
 class VectorRows:
     """The vectors of many distinct comments stacked as the rows of one
     matrix, with their norms, for cosine against one query vector;
-    ``index`` maps each comment to its row."""
+    ``index`` maps each comment to its row, and ``odd`` marks the non-zero
+    rows whose squared norm lost bits or overflowed."""
 
     def __init__(self, comments: Sequence[str], vectors: Sequence[np.ndarray]):
         self.index = {comment: row for row, comment in enumerate(comments)}
         self.rows = np.array(vectors, dtype=float)
-        self.norms = np.sqrt(np.sum(self.rows * self.rows, axis=1))
+        with np.errstate(over="ignore"):
+            squares = np.sum(self.rows * self.rows, axis=1)
+        self.norms = np.sqrt(squares)
+        self.odd = ~((squares >= _NORMAL) & (squares < np.inf)) & self.rows.any(axis=1)
 
     def cosine(self, u: np.ndarray, n: int) -> np.ndarray:
         """``cosine(u, row)`` for each of the first ``n`` rows, with the same
-        rules in the same order: a zero norm scores 0, a row equal to u
-        scores 1.0, and any other value is clamped to [0, 1]."""
+        rules in the same order: a zero vector scores 0, a row equal to u
+        scores 1.0, and any other value is clamped to [0, 1]. A pair that
+        ``cosine`` scales is scored by ``cosine`` itself."""
         rows, norms = self.rows[:n], self.norms[:n]
         u = np.asarray(u, dtype=float)
-        nu = math.sqrt(float(np.sum(u * u)))
-        if nu == 0.0:
+        if not u.any():
             return np.zeros(len(rows))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.sum(rows * u, axis=1) / (nu * norms)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            uu = float(np.sum(u * u))
+            products = math.sqrt(uu) * norms
+            value = np.sum(rows * u, axis=1) / products
         # min(1.0, max(0.0, value)), NaN included
         scores = np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
         scores[np.all(rows == u, axis=1)] = 1.0
         scores[norms == 0.0] = 0.0
+        for k in np.flatnonzero(self.odd[:n] | (products == np.inf) | (not _NORMAL <= uu < math.inf)):
+            scores[k] = cosine(u, rows[k])
         return scores

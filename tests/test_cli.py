@@ -163,6 +163,20 @@ class TestRecommend:
         assert captured.out == ""
         assert "--top-n" in captured.err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--top-n", "0"], "--top-n must be at least 1"),
+        (["--file-path", " "], "--file-path must be non-empty"),
+        (["--methods", "FP_ZZ"], "FP_ZZ"),
+        (["--methods", "RC_CS"], "--embeddings"),
+    ], ids=["top-n", "file-path", "methods", "rc-cs-without-embeddings"])
+    def test_arguments_are_checked_before_the_corpus_is_read(self, tmp_path, capsys, flags, message):
+        code = cli.main(["recommend", "--corpus", str(tmp_path / "missing.jsonl"),
+                         "--file-path", "a/b.py", "--comment", "x", *flags])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err and "No such file" not in err
+
     def test_empty_comment_with_comment_method(self, planted_file, capsys):
         code = cli.main([
             "recommend", "--corpus", planted_file,
@@ -396,6 +410,36 @@ class TestEvaluate:
         ])
         assert code == 0, capsys.readouterr().err
 
+    def test_rc_cs_with_huge_and_tiny_vectors_prints_no_warning(self, tmp_path, capsys):
+        # Squared, the components overflow or underflow; cosine scales the
+        # vectors instead, and parallel ones score 1.
+        records = random_records(random.Random(4), 20)
+        for k, comment in ((3, "big zzq"), (5, "big"), (7, "tiny"), (9, "tiny zzq")):
+            records[k] = replace(records[k], comment=comment)
+        corpus_path, vectors_path = tmp_path / "big.jsonl", tmp_path / "big.txt"
+        save_corpus(Corpus(project="synth", records=tuple(records)), corpus_path)
+        vectors_path.write_text("3 2\nbig 1e200 1e200\ntiny 1e-200 1e-200\napi 1 0\n")
+        code = cli.main([
+            "evaluate", "--corpus", str(corpus_path), "--methods", "RC_CS",
+            "--embeddings", str(vectors_path), "--k", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 0 and err == "", err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "k values must be positive"),
+        (["--steps", "0", "--sampling", "incremental"], "steps must be positive"),
+        (["--test-fraction", "1.5"], "test_fraction must be in (0,1)"),
+        (["--out", ".."], "names a directory"),
+        (["--methods", "FP_JC,RC_CS"], "--embeddings"),
+    ], ids=["k", "steps", "test-fraction", "out", "rc-cs-without-embeddings"])
+    def test_arguments_are_checked_before_the_corpus_is_read(self, tmp_path, capsys, flags, message):
+        args = ["evaluate", "--corpus", str(tmp_path / "missing.jsonl"), "--methods", "FP_JC"]
+        assert cli.main(args + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err and "No such file" not in err
+
     def test_embeddings_read_only_for_rc_cs(self, synth_file, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         code = cli.main([
@@ -505,6 +549,21 @@ class TestCompare:
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "3,1"], "k values must be strictly increasing"),
+        (["--steps", "-2"], "steps must be positive"),
+        (["--test-fraction", "0"], "test_fraction must be in (0,1)"),
+        (["--out", "."], "names a directory"),
+    ], ids=["k", "steps", "test-fraction", "out"])
+    def test_arguments_are_checked_before_the_corpus_and_table_are_read(
+            self, tmp_path, capsys, flags, message):
+        code = cli.main(["compare", "--corpus", str(tmp_path / "missing.jsonl"),
+                         "--embeddings", str(tmp_path / "missing.txt"), *flags])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err and "No such file" not in err
 
     def test_always_reads_embeddings(self, synth_file, tmp_path, capsys):
         code = cli.main([

@@ -29,12 +29,10 @@ from revrec.recommender import (
 )
 from revrec.recommender import (
     _FIELD,
-    _lcsubseq_len,
-    _lcsubstr_len,
     _path_overlap_scores,
     _reviewer_sums,
 )
-from revrec.similarity import PathOverlaps
+from revrec.similarity import PathOverlaps, VectorRows, cosine
 
 ALL_SELECTIONS = [
     frozenset(combo)
@@ -304,6 +302,50 @@ class TestBatchedScores:
                     assert [x.hex() for x in got] == [x.hex() for x in want], (method, query)
                     columns += 1
         assert columns == 1600
+
+    def test_identical_tiny_vectors_score_one(self):
+        # Their squares underflow to 0, yet neither is a zero vector.
+        for u in ([1e-200, 1e-200], [5e-324, 0.0], [1e-160, -3e-170, 0.0]):
+            assert cosine(u, list(u)) == 1.0
+            assert VectorRows(["a"], [np.array(u)]).cosine(np.array(u), 1).tolist() == [1.0]
+
+    def test_vectors_whose_squares_lose_bits_keep_their_angle(self):
+        # Squared, their components are subnormal or overflow, so the plain
+        # norms are off by far more than rounding, but not 0 or inf.
+        for scale in (1e-162, 1e-158, 1e154):
+            u, v = [3 * scale, scale], [scale, 3 * scale]
+            assert cosine(u, v) == pytest.approx(0.6, rel=1e-12)
+            assert VectorRows(["v"], [np.array(v)]).cosine(np.array(u), 1)[0] == cosine(u, v)
+
+    def test_parallel_huge_vectors_score_one(self):
+        # Their squares overflow; scaled by powers of two they are one vector.
+        for u, v in (([1e200, 1e200], [2e200, 2e200]), ([1e-160, 1e-160], [2e-160, 2e-160]),
+                     ([1e308, -1e308], [math.ldexp(1e308, -1000), math.ldexp(-1e308, -1000)])):
+            assert cosine(u, v) == cosine(v, u) == 1.0
+            rows = VectorRows(["u", "v"], [np.array(u), np.array(v)])
+            assert rows.cosine(np.array(u), 2).tolist() == rows.cosine(np.array(v), 2).tolist() == [1.0, 1.0]
+
+    def test_scalar_and_batched_cosines_agree_at_extreme_magnitudes(self):
+        # Every magnitude from subnormal to near the largest double, zero
+        # and repeated vectors, and ordinary ones beside them.
+        rng = random.Random(139)
+        magnitudes = [5e-324, 1e-310, 1e-200, 1e-160, 1e-154, 1e-3, 1.0, 1e100, 1e154, 1e160, 1e200, 1e308]
+        fallbacks = 0
+        for trial in range(60):
+            dimension = rng.randint(1, 5)
+            vectors = [np.array([rng.choice([0.0, rng.uniform(-1, 1)]) * rng.choice(magnitudes)
+                                 for _ in range(dimension)]) for _ in range(rng.randint(1, 12))]
+            vectors += [np.zeros(dimension), np.ldexp(rng.choice(vectors), rng.randint(-8, 0))]
+            rng.shuffle(vectors)
+            rows = VectorRows([str(k) for k in range(len(vectors))], vectors)
+            fallbacks += int(rows.odd.sum())
+            for u in vectors + [np.array([rng.choice(magnitudes)] * dimension)]:
+                n = rng.randint(0, len(vectors))
+                got = rows.cosine(u, n).tolist()
+                want = [cosine(u, v) for v in vectors[:n]]
+                assert [x.hex() for x in got] == [x.hex() for x in want], (u, vectors[:n])
+                assert all(0.0 <= x <= 1.0 for x in got)
+        assert fallbacks > 20
 
     @pytest.mark.parametrize("path, failing", [
         ("__", {MethodId.FP_JC}),  # no path tokens
@@ -607,8 +649,11 @@ class TestRevFinder:
 
         for _ in range(400):
             p, q = path(), path()
-            assert _lcsubseq_len(p, q) == oracle.lcsubseq_len(p, q), (p, q)
-            assert _lcsubstr_len(p, q) == oracle.lcsubstr_len(p, q), (p, q)
+            got = PathOverlaps([q]).overlaps(p, 1)[:, 0].tolist()
+            dps = [oracle.lcp_len(p, q), oracle.lcsuffix_len(p, q),
+                   oracle.lcsubstr_len(p, q), oracle.lcsubseq_len(p, q)]
+            longer = max(len(p), len(q), 1)
+            assert [x.hex() for x in got] == [(x / longer).hex() for x in dps], (p, q)
         # The multi-target form: each query against the first n paths of
         # one packed PathOverlaps, as the same doubles as one pair at a time.
         # A path whose common prefix or suffix with the query spans the
