@@ -15,14 +15,14 @@ those points for queries on several paths at once, and
 ``revfinder_recommend`` is its one-path case. The overlaps are exact
 integer kernels over all distinct paths at once
 (``similarity.PathOverlaps``), whose reference is the textbook dynamic
-programs of ``tests/oracle.py``; ``_path_overlap_scores`` is a one-pair
-shell over them that only the benchmark reads. The reviewer sums come from the distinct paths' overlaps,
-split at a grid per query path that makes both sums over each
-reviewer's records exact (``_reviewer_sums``), so they are the doubles
-``_fsums`` gives, which sums a query path the grid cannot hold; the four
-rankings and the Borda points are array sorts and sums over all the
-query paths. Both rankers order reviewers by (-total, reviewer id)
-(``_entries``).
+programs of ``tests/oracle.py``; ``_path_overlap_scores``, a one-pair
+shell over them, is read only by the benchmark. The reviewer sums come
+from the distinct paths' overlaps, split at a grid per query path that
+makes both sums over each reviewer's records exact
+(``_reviewer_sums``), so they are the doubles ``_fsums`` gives, which
+sums a query path the grid cannot hold; the four rankings and the Borda
+points are array sorts and sums over all the query paths. Both rankers
+order reviewers by (-total, reviewer id) (``_entries``).
 
 A score depends only on the query and one key of the record: its file
 path for FP_JC, FP_HD and the baseline, its comment for RC_CS and RC_JC.

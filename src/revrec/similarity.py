@@ -8,18 +8,18 @@ batched form that scores one query against many keys in one array pass:
 kernel's on that pair: the integer counts are exact, int64 / int64
 divides like Python's int / int, and ``cosine`` sums with ``np.sum``,
 whose pairwise sum of a row alone equals that row's sum in an axis-1
-reduction; a pair whose squared norms lose bits or overflow is scored
-by ``cosine`` from the vectors scaled by powers of two.
-``PathOverlaps.overlaps`` gives REVFINDER's common prefix, suffix,
-substring and subsequence of one query path and many paths in one pass,
-from one bit-vector of all the paths; its reference is the textbook
-dynamic programs of ``tests/oracle.py``. It takes the prefix and suffix
-first: a path whose prefix or suffix with the query spans the shorter of
-the two has that length as its longest common substring, so the
-substring levels skip it, and the run lengths of the rest are read from
-a few bit-planes of the levels. Given ``n``, a batched form scores only
-its first ``n`` keys, as the same doubles as an index of those keys
-alone would.
+reduction; ``cosine`` scales a pair whose squared norms lose bits or
+overflow by powers of two. ``PathOverlaps.overlaps`` gives REVFINDER's
+common prefix, suffix, substring and subsequence of one query path and
+many paths in one pass, from one bit-vector of all the paths. Its
+reference is the dynamic programs of ``tests/oracle.py``; only the
+benchmark reads ``recommender._path_overlap_scores``, its one-pair
+shell. It takes the prefix and suffix first: a path whose prefix or
+suffix with the query spans the shorter of the two has that length as
+its longest common substring, so the substring levels skip it, and the
+run lengths of the rest are read from a few bit-planes of the levels.
+Given ``n``, a batched form scores only its first ``n`` keys, as the
+same doubles as an index of those keys alone would.
 """
 
 from __future__ import annotations
@@ -251,9 +251,9 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     # np.sum, and the two forms differ in the last bit.
     with np.errstate(over="ignore"):  # a sum past the largest double is inf
         uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
-    if not (min(uu, vv) >= _NORMAL and math.sqrt(uu) * math.sqrt(vv) < math.inf):
-        # A squared norm lost bits or overflowed, or the norms' product overflows: scaled
-        # by powers of two to largest magnitudes in [0.5, 1), the vectors keep their angle.
+    if not (_NORMAL <= min(uu, vv) and max(uu, vv) < math.inf):
+        # A squared norm lost bits to underflow or overflowed: scaled by powers
+        # of two to largest magnitudes in [0.5, 1), the vectors keep their angle.
         u, v = (np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]) for x in (u, v))
         uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
     if np.array_equal(u, v):
@@ -288,12 +288,11 @@ class VectorRows:
             return np.zeros(len(rows))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             uu = float(np.sum(u * u))
-            products = math.sqrt(uu) * norms
-            value = np.sum(rows * u, axis=1) / products
+            value = np.sum(rows * u, axis=1) / (math.sqrt(uu) * norms)
         # min(1.0, max(0.0, value)), NaN included
         scores = np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
         scores[np.all(rows == u, axis=1)] = 1.0
         scores[norms == 0.0] = 0.0
-        for k in np.flatnonzero(self.odd[:n] | (products == np.inf) | (not _NORMAL <= uu < math.inf)):
+        for k in np.flatnonzero(self.odd[:n] | (not _NORMAL <= uu < math.inf)):
             scores[k] = cosine(u, rows[k])
         return scores
