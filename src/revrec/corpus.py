@@ -216,9 +216,13 @@ def load_corpus(path: str | Path, project: str | None = None) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out in the record file format. A value that
+    """Write a corpus back out in the record file format. A record that
+    the loader would reject raises before ``path`` is touched: one that
+    fails ``validate_record`` raises ValidationError, and a value that
     UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError and
     leaves ``path`` as it was."""
+    for record in corpus.records:
+        validate_record(record)
     with write_replacing(path) as fh:
         for record in corpus.records:
             payload = {field: getattr(record, field) for field in RECORD_FIELDS}

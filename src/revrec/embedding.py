@@ -134,10 +134,17 @@ def _read_table(path: str | Path, lines: Iterator[str]) -> EmbeddingTable:
 
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write the table in the text vector format (floats via repr, so a
-    save/load round trip reproduces the table exactly). Words that are
-    empty, hold whitespace or hold a lone surrogate would not load back,
-    so they raise before ``path`` is touched."""
-    for word in table.entries:
+    save/load round trip reproduces the table exactly). What would not
+    load back raises before ``path`` is touched: a dimension below 1, an
+    empty table, a word that is empty, holds whitespace or holds a lone
+    surrogate, and a vector that is not ``dimension`` finite numbers."""
+    if table.dimension < 1:
+        raise EmbeddingFormatError(f"dimension must be positive, got {table.dimension}; cannot save")
+    if not table.entries:
+        raise EmbeddingFormatError("the table has no words; cannot save")
+    for word, vector in table.entries.items():
+        if np.shape(vector) != (table.dimension,) or not np.isfinite(vector).all():
+            raise EmbeddingFormatError(f"word {word!r} needs {table.dimension} finite components; cannot save")
         if word.split() != [word]:
             raise EmbeddingFormatError(f"word {word!r} is empty or holds whitespace; cannot save")
         try:
@@ -179,7 +186,14 @@ def comment_vectors(comments: Sequence[Sequence[str]], table: EmbeddingTable) ->
         if ids:
             by_count.setdefault(len(ids), []).append(row)
     for members in by_count.values():
-        rows[members] = np.mean(vectors[[found[row] for row in members]], axis=1)
-    if not np.isfinite(rows).all():  # a mean may overflow; load guarantees finite entries
+        with np.errstate(over="ignore"):
+            rows[members] = np.mean(vectors[[found[row] for row in members]], axis=1)
+    # A token sum past the largest double is taken again from the vectors
+    # scaled by a power of two below 1 / count (exact unless a component
+    # turns subnormal), and the mean scaled back.
+    for row in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+        shift = len(found[row]).bit_length()
+        rows[row] = np.ldexp(np.mean(np.ldexp(vectors[found[row]], -shift), axis=0), shift)
+    if not np.isfinite(rows).all():  # load guarantees finite entries; a table built in code may not
         raise EmbeddingFormatError("non-finite comment vector")
     return rows

@@ -218,9 +218,8 @@ class SubSelections:
     the reviewers ahead by (-score, reviewer id) (Shewchuk's filtered
     exact pattern, Discrete Comput. Geom. 18, 1997).
 
-    The history's reviewers and their ids' order are read once, when the
-    object is made for a step; each block's arrays are queries ×
-    selections × reviewers.
+    The history's reviewers are read once, when the object is made for a
+    step; each block's arrays are queries × selections × reviewers.
     """
 
     def __init__(self, history: History, selections: Sequence[frozenset]):
@@ -228,7 +227,6 @@ class SubSelections:
         self.methods = [m for m in MethodId if any(m in s for s in self.selections)]
         self.weights = np.array([[1 / len(s) if m in s else 0.0 for m in self.methods]
                                  for s in self.selections])
-        self.id_order = history.id_order
         slack = np.array([len(ix) for _, ix in history.groups]) + 16.0
         self.relative, self.absolute = 4 * _UNIT * slack, slack * _TINY
 
@@ -244,7 +242,7 @@ class SubSelections:
         """Query × selection × reviewer arrays for each query's ``columns``:
         the ends of the interval that holds each exact score, and where
         that score is surely 0 (both ends 0)."""
-        sums = np.empty((len(columns), len(self.methods), len(self.id_order)))
+        sums = np.empty((len(columns), len(self.methods), len(self.history.groups)))
         for i, m in enumerate(self.methods):
             sums[:, i] = self.history.group_sums(_FIELD[m], np.array([c[m] for c in columns]))
         approx = self.weights @ sums
@@ -265,18 +263,19 @@ class SubSelections:
         for q, s in zip(*np.nonzero((window.sum(axis=-1) > 1) | (window & (lo <= 0)).any(axis=-1))):
             for r in np.flatnonzero(window[q, s]):
                 scores[q, s, r] = self.exact(columns[q], self.selections[s], r)
-        first = _first_ranks(scores, mine, self.id_order).tolist()
+        first = _first_ranks(scores, mine).tolist()
         return [row if f else [None] * len(self.selections) for row, f in zip(first, found)]
 
 
-def _first_ranks(scores: np.ndarray, mine: np.ndarray, id_order: np.ndarray) -> np.ndarray:
-    """1 + the number of reviewers (last axis, in ``groups`` order) ahead of
-    the best of the ``mine`` reviewers by (-score, reviewer id), where
-    ``id_order`` is each reviewer's place in the order of the ids. A row
-    with no ``mine`` reviewer gets a meaningless number."""
+def _first_ranks(scores: np.ndarray, mine: np.ndarray) -> np.ndarray:
+    """1 + the number of reviewers (last axis, in ``groups`` order, which
+    is id order) ahead of the best of the ``mine`` reviewers by (-score,
+    reviewer id): the first by position of the best. A row with no
+    ``mine`` reviewer gets a meaningless number."""
     best = np.where(mine, scores, -np.inf).max(axis=-1, keepdims=True)
-    first = np.where(mine & (scores == best), id_order, len(id_order)).min(axis=-1, keepdims=True)
-    return ((scores > best) | ((scores == best) & (id_order < first))).sum(axis=-1) + 1
+    first = np.argmax(mine & (scores == best), axis=-1, keepdims=True)
+    ahead = (scores > best) | ((scores == best) & (np.arange(scores.shape[-1]) < first))
+    return ahead.sum(axis=-1) + 1
 
 
 def _revfinder_ranks(queries: Sequence[ReviewRecord], mine: np.ndarray, history: History) -> list[int | None]:
@@ -286,7 +285,7 @@ def _revfinder_ranks(queries: Sequence[ReviewRecord], mine: np.ndarray, history:
     (``revfinder_points``)."""
     rows = {path: p for p, path in enumerate(dict.fromkeys(q.file_path for q in queries))}
     points = revfinder_points(list(rows), history)[[rows[q.file_path] for q in queries]]
-    first = _first_ranks(points, mine, history.id_order).tolist()
+    first = _first_ranks(points, mine).tolist()
     return [rank if f else None for rank, f in zip(first, mine.any(axis=1))]
 
 

@@ -34,9 +34,9 @@ method scores as one array pass per query, with the same doubles as
 and RC_CS's comment vectors carry their comment lookup.
 ``History.prefix`` cuts all of these from a longer history instead of
 building them again. The reviewer groups of a History and of a prefix
-are laid out by one routine, from which ``History.group_sums`` sums
-per-key values onto reviewers for evaluation's filter and the
-baseline's sums.
+are in reviewer-id order, laid out by one routine, from which
+``History.group_sums`` sums per-key values onto reviewers for
+evaluation's filter and the baseline's sums.
 
 Both rankers are pure functions of their inputs and independent of history
 order, so callers may evaluate many queries concurrently.
@@ -183,8 +183,8 @@ class History(tuple):
     built once: ``keys[field]`` is ``_distinct`` of ``file_path`` and of
     ``comment``, ``positions[field]`` is its record positions as an index
     array, and ``groups`` holds each reviewer with the indices of its
-    records, laid out by ``_lay_out``. ``History(h)`` returns ``h`` when it
-    already is one.
+    records, in reviewer-id order, laid out by ``_lay_out``. ``History(h)``
+    returns ``h`` when it already is one.
 
     ``feature`` builds a method's (or REVFINDER's) features of the
     distinct keys on first use and keeps them: FP_HD reads REVFINDER's
@@ -208,16 +208,13 @@ class History(tuple):
         groups: dict[str, list[int]] = {}
         for idx, past in enumerate(self):
             groups.setdefault(past.reviewer_id, []).append(idx)
-        self._lay_out(tuple((reviewer, tuple(indices)) for reviewer, indices in groups.items()))
+        self._lay_out(tuple((reviewer, tuple(indices)) for reviewer, indices in sorted(groups.items())))
         return self
 
     def _lay_out(self, groups: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
-        """Set ``groups``, ``id_order`` (each reviewer's place in the order
-        of the reviewer ids), ``grouped`` (the record indices in groups
-        order) and ``group_starts`` (each group's first place in ``grouped``)."""
+        """Set ``groups``, ``grouped`` (the record indices in groups order)
+        and ``group_starts`` (each group's first place in ``grouped``)."""
         self.groups = groups
-        self.id_order = np.empty(len(groups), dtype=np.intp)
-        self.id_order[sorted(range(len(groups)), key=lambda r: groups[r][0])] = range(len(groups))
         self.grouped = np.array([i for _, ix in groups for i in ix], dtype=np.intp)
         self.group_starts = np.cumsum([0] + [len(ix) for _, ix in groups[:-1]])
 
@@ -349,7 +346,7 @@ def _entries(history: History, totals: Sequence[float]) -> tuple[tuple[str, floa
     (-total, reviewer id). A Python sort: each ``recommend`` call ranks a
     few dozen reviewers, and numpy's first calls in a process cost more."""
     ranked = zip([reviewer for reviewer, _ in history.groups], map(float, totals))
-    return tuple(sorted(ranked, key=lambda entry: (-entry[1], entry[0])))
+    return tuple(sorted(ranked, key=lambda entry: -entry[1]))
 
 
 @lru_cache(maxsize=65536)
@@ -406,7 +403,7 @@ def revfinder_points(paths: Sequence[str], history: Sequence[ReviewRecord]) -> n
     history = History(history)
     built, n = history.feature(REVFINDER), len(history.keys["file_path"][0])
     totals = _reviewer_sums(history, "file_path", np.array([built.overlaps(path, n) for path in paths]))
-    order = np.lexsort((np.broadcast_to(history.id_order, totals.shape), -totals), axis=-1)
+    order = np.argsort(-totals, axis=-1, kind="stable")
     return (totals.shape[-1] - order.argsort(axis=-1)).sum(axis=1)
 
 

@@ -13,8 +13,9 @@ in a temporary directory, so nothing is written to `.bench_work/`.
 Every run also pins the report digest it prints: a change that moves a
 report fails here and must show that `tests/oracle.py` agrees with the
 new rankings before the pinned value is updated. The same digest of
-`fixed-compare`'s shape scaled to 1,000 records is pinned too, where the
-exact fallbacks run ten times as often as in the workloads' reports.
+`fixed-compare`'s shape scaled to 1,000 and 3,000 records is pinned too,
+where the exact fallbacks run ten and more times as often as in the
+workloads' reports.
 """
 
 import hashlib
@@ -96,40 +97,45 @@ def test_traced_run_reports_every_layer(bench_copy, workload):
 
 
 # sha256 of the same texts for bench/gen.py's `fixed-compare` shape scaled to
-# 1,000 records (seed "fixed-compare/401"): fixed sampling at 0.10 with seed
-# 7, and incremental sampling in 8 steps.
+# 1,000 and 3,000 records (seed "fixed-compare/401"): fixed sampling at 0.10
+# with seed 7, and incremental sampling in 8 steps.
 SCALED_DIGESTS = {
-    "fixed": "033f8b65cf2a48c0b0fc2f192bb4eaa31d27b846657138be1919976f4ee382d5",
-    "incremental": "b399bea19249f590b58dd3da9b7bf3f1f591b2ec46ec5abf5c4128522fa543e3",
+    (1000, "fixed"): "033f8b65cf2a48c0b0fc2f192bb4eaa31d27b846657138be1919976f4ee382d5",
+    (1000, "incremental"): "b399bea19249f590b58dd3da9b7bf3f1f591b2ec46ec5abf5c4128522fa543e3",
+    (3000, "fixed"): "013480f658cd10787a518048d85ca50a801a38fb96f8b7ad57f3b81538874cfe",
+    (3000, "incremental"): "a7badd672d95a8a3f581d47fe39b4b46c81df046fdbac47831c17d6d9812457c",
 }
 # The reviewer sums that the same reports' sub-selection filter computes
 # exactly (``SubSelections.exact``): a filter that decides less from its
 # bounds gives the same digests but more calls.
-SCALED_EXACT_CALLS = {"fixed": 46, "incremental": 140}
+SCALED_EXACT_CALLS = {
+    (1000, "fixed"): 46, (1000, "incremental"): 140,
+    (3000, "fixed"): 59, (3000, "incremental"): 186,
+}
 
 
-@pytest.fixture(scope="module")
-def scaled_inputs(tmp_path_factory):
-    """The corpus and table of `fixed-compare` at 1,000 records, generated
-    as bench/run.py generates the workload's."""
+@pytest.fixture(scope="module", params=[1000, 3000])
+def scaled_inputs(request, tmp_path_factory):
+    """The record count, corpus and table of `fixed-compare` at that many
+    records, generated as bench/run.py generates the workload's."""
     spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
     gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(gen)
     rng = random.Random("fixed-compare/401")
-    shape = gen.CorpusShape(records=1000, reviewers=60, records_per_path=5.0,
+    shape = gen.CorpusShape(records=request.param, reviewers=60, records_per_path=5.0,
                             modules=12, vocabulary=1500, project="nova")
     records = gen.generate_records(shape, rng)
     root = tmp_path_factory.mktemp("scaled")
     gen.write_records(records, str(root / "corpus.jsonl"))
     words = gen.table_words(gen.comment_vocabulary(records), 0.8, rng)
     gen.write_table(words, 50, rng.randrange(2**32), str(root / "vectors.txt"))
-    return (revrec.load_corpus(str(root / "corpus.jsonl"), "nova"),
+    return (request.param, revrec.load_corpus(str(root / "corpus.jsonl"), "nova"),
             revrec.load_embedding_table(str(root / "vectors.txt")))
 
 
 @pytest.mark.parametrize("sampling, settings", [("fixed", {"rng_seed": 7}), ("incremental", {"steps": 8})])
 def test_scaled_report_digest(scaled_inputs, sampling, settings, monkeypatch):
-    corpus, table = scaled_inputs
+    size, corpus, table = scaled_inputs
     calls = []
     exact = SubSelections.exact
 
@@ -141,5 +147,5 @@ def test_scaled_report_digest(scaled_inputs, sampling, settings, monkeypatch):
     config = revrec.EvalConfig(methods=compare_selections(), sampling=revrec.Sampling(sampling), **settings)
     report = revrec.run_eval(corpus, config, table)
     text = report.to_csv_text() + "\0" + report.to_table_text()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALED_DIGESTS[sampling]
-    assert len(calls) == SCALED_EXACT_CALLS[sampling]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALED_DIGESTS[size, sampling]
+    assert len(calls) == SCALED_EXACT_CALLS[size, sampling]

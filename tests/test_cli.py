@@ -410,6 +410,22 @@ class TestEvaluate:
         ])
         assert code == 0, capsys.readouterr().err
 
+    def test_rc_cs_with_a_comment_mean_whose_token_sum_overflows(self, tmp_path, capsys):
+        # Two 1e308 vectors sum past the largest double; their mean is 1e308.
+        records = random_records(random.Random(4), 12)
+        for k in range(0, 12, 2):
+            records[k] = replace(records[k], comment=("big big fix", "big big", "small fix")[k % 3])
+        corpus_path, vectors_path = tmp_path / "big.jsonl", tmp_path / "big.txt"
+        save_corpus(Corpus(project="synth", records=tuple(records)), corpus_path)
+        vectors_path.write_text("3 2\nbig 1e308 1e308\nfix 1 0\nsmall 0 1\n")
+        assert cli.main(["validate", "--corpus", str(corpus_path)]) == 0
+        capsys.readouterr()
+        for args in (["evaluate", "--k", "1"], ["recommend", "--file-path", "a/b.py", "--comment", "big big"]):
+            code = cli.main([*args, "--corpus", str(corpus_path), "--methods", "RC_CS",
+                             "--embeddings", str(vectors_path)])
+            err = capsys.readouterr().err
+            assert code == 0 and err == "", err
+
     def test_rc_cs_with_huge_and_tiny_vectors_prints_no_warning(self, tmp_path, capsys):
         # Squared, the components overflow or underflow; cosine scales the
         # vectors instead, and parallel ones score 1.

@@ -247,6 +247,20 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("comment", " \t"), ("file_path", "__"), ("line", -1), ("reviewer_id", ""),
+    ])
+    def test_record_that_cannot_load_back_leaves_target_unchanged(self, tmp_path, field, value):
+        path = tmp_path / "out.jsonl"
+        save_corpus(Corpus(project="test", records=(make_record(),)), path)
+        before = path.read_bytes()
+        records = (make_record(change_id="c0"), make_record(change_id="c1", **{field: value}))
+        with pytest.raises(ValidationError) as err:
+            save_corpus(Corpus(project="test", records=records), path)
+        assert err.value.field == field
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
     def test_random_unicode_save_load_identity(self, tmp_path):
         # Astral characters, combining marks, the three separators that
         # str.splitlines breaks on but a record file does not, quotes,

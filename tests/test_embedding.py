@@ -4,6 +4,7 @@ import random
 import re
 import string
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -311,6 +312,21 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
 
+    @pytest.mark.parametrize("dimension, entries, message", [
+        (2, {"ok": np.array([1.0, 2.0]), "far": np.array([np.inf, 0.0])}, "'far' needs 2 finite"),
+        (2, {"ok": np.array([1.0, 2.0]), "short": np.array([1.0])}, "'short' needs 2 finite"),
+        (2, {}, "no words"),
+        (0, {"none": np.array([])}, "dimension must be positive"),
+    ], ids=["inf", "length", "empty", "dimension-0"])
+    def test_table_that_cannot_load_back_leaves_target_unchanged(self, tmp_path, dimension, entries, message):
+        path = tmp_path / "vecs.txt"
+        save_embedding_table(EmbeddingTable(dimension=2, entries={"ok": np.array([1.0, 2.0])}), path)
+        before = path.read_bytes()
+        with pytest.raises(EmbeddingFormatError, match=message):
+            save_embedding_table(EmbeddingTable(dimension=dimension, entries=entries), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+
     def test_random_unicode_words_round_trip(self, tmp_path):
         rng = random.Random(43)
         entries = {}
@@ -430,12 +446,20 @@ class TestCommentVectors:
                                             for total, vectors, mean in zip(sums, kept, means))
         assert all(seen.values()), seen
 
-    def test_non_finite_mean_raises_like_comment_vector(self):
-        table = EmbeddingTable(2, {"big": np.array([1e308, 1e308]), "ok": np.array([1.0, 2.0])})
-        with np.errstate(over="ignore"), pytest.raises(EmbeddingFormatError) as want:
-            comment_vector(["big", "big"], table)
-        with np.errstate(over="ignore"), pytest.raises(EmbeddingFormatError) as got:
-            comment_vectors([["ok"], ["big", "big"]], table)
+    def test_mean_whose_token_sum_overflows_is_kept(self):
+        # The mean is finite though the sum is not; only a non-finite entry,
+        # which a loaded table cannot hold, raises.
+        table = EmbeddingTable(2, {"big": np.array([1e308, 1e308]), "ok": np.array([1.0, 2.0]),
+                                   "huge": np.array([-1.7e308, 1.7e308]), "inf": np.array([np.inf, 1.0])})
+        assert comment_vector(["big", "big"], table).values.tolist() == [1e308, 1e308]
+        rows = comment_vectors([["ok"], ["big", "big"], ["huge", "ok", "huge", "huge"]], table)
+        assert rows[:2].tolist() == [[1.0, 2.0], [1e308, 1e308]]
+        exact = [(3 * Fraction(big) + Fraction(small)) / 4 for big, small in ((-1.7e308, 1.0), (1.7e308, 2.0))]
+        assert rows[2].tolist() == pytest.approx([float(x) for x in exact], rel=1e-15)
+        with pytest.raises(EmbeddingFormatError) as want:
+            comment_vector(["inf", "ok"], table)
+        with pytest.raises(EmbeddingFormatError) as got:
+            comment_vectors([["ok"], ["inf"]], table)
         assert str(got.value) == str(want.value)
         np.testing.assert_array_equal(comment_vectors([["ok"], []], table), [[1.0, 2.0], [0.0, 0.0]])
 

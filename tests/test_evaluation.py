@@ -15,7 +15,7 @@ import revrec.evaluation
 import revrec.recommender
 from conftest import make_record, random_records, random_table, rank_selection
 from revrec.cli import compare_selections
-from revrec.corpus import Corpus, ReviewRecord, parse_record_line
+from revrec.corpus import Corpus, ReviewRecord, parse_record_line, validate_record
 from revrec.errors import ConfigurationError, EvaluationError, ValidationError
 from revrec.evaluation import (
     DEFAULT_K_VALUES,
@@ -624,6 +624,40 @@ class TestSmallCorpusFuzz:
             assert len(report.rows) == 2 * len(config.methods)
             assert all(0.0 <= row.mrr <= row.topk_accuracy <= 1.0 for row in report.rows)
         assert evaluated >= 50
+
+    # Values that validate accepts at the edges: a comment with no usable
+    # tokens, accented and astral paths, and comments that repeat a word
+    # whose vector is near the largest double, so that their token sums
+    # overflow while their means do not.
+    EDGE_COMMENTS = ["42 !!", "big big alpha", "big big", "tiny big bravo", "tiny tiny", "Ünïcode big"]
+    EDGE_PATHS = ["é/naïve.py", "src/😀/𝔘x.rs", "a", "core/café/mod.py"]
+
+    @pytest.mark.parametrize("sampling", list(Sampling))
+    def test_valid_corpora_evaluate_every_selection(self, sampling):
+        rng = random.Random(f"valid/{sampling.value}")
+        for trial in range(16):
+            records = random_records(rng, rng.randint(8, 24))
+            for k in rng.sample(range(len(records)), rng.randint(1, len(records) // 2)):
+                records[k] = replace(records[k], comment=rng.choice(self.EDGE_COMMENTS),
+                                     file_path=rng.choice(self.EDGE_PATHS + [records[k].file_path]))
+            records[0] = replace(records[0], comment="big big big")
+            # Repeated keys under another reviewer, and now and then one reviewer for all.
+            records += [replace(rng.choice(records), reviewer_id="revz") for _ in range(3)]
+            if trial % 4 == 0:
+                records = [replace(r, reviewer_id="solo") for r in records]
+            for record in records:
+                validate_record(record)
+            table = random_table(rng, rng.randint(1, 5))
+            table.entries["big"] = np.array([rng.choice([-1.6e308, 1e308]) for _ in range(table.dimension)])
+            table.entries["tiny"] = np.full(table.dimension, 1e-200)
+            config = EvalConfig(
+                methods=compare_selections(), sampling=sampling, k_values=(1, 3),
+                test_fraction=rng.choice([0.1, 0.25, 0.5]), steps=rng.randint(1, 4),
+                rng_seed=rng.randint(0, 9),
+            )
+            corpus = Corpus(project="synth", records=tuple(sorted(records, key=ReviewRecord.sort_key)))
+            report = run_eval(corpus, config, table)
+            assert len(report.rows) == 2 * len(config.methods)
 
 
 ALL_SELECTIONS = [frozenset(combo) for size in range(1, 5)
